@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,26 +166,30 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	net := testNet(t, act.ReLU, 8)
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srvErr = srv.Serve(sConn)
-	}()
-	if err := cConn.Send(transport.MsgHello, []byte("bogus/9")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cConn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if srvErr == nil {
-		t.Fatal("server accepted an unknown protocol")
+	// deepsecure/6 built the pre-Baugh–Wooley multiplier: a different
+	// circuit, so it must be refused at hello like any unknown protocol.
+	for _, hello := range []string{"bogus/9", "deepsecure/6"} {
+		cConn, sConn, closer := transport.Pipe()
+		defer closer.Close()
+		net := testNet(t, act.ReLU, 8)
+		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}
+		var wg sync.WaitGroup
+		var srvErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srvErr = srv.Serve(sConn)
+		}()
+		if err := cConn.Send(transport.MsgHello, []byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cConn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if srvErr == nil || !strings.Contains(srvErr.Error(), "unknown protocol") {
+			t.Fatalf("hello %q: server error %v, want unknown protocol", hello, srvErr)
+		}
 	}
 }
 

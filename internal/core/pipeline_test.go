@@ -74,7 +74,7 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
-			if string(f.payload) != "deepsecure/6" {
+			if string(f.payload) != "deepsecure/7" {
 				t.Fatalf("hello = %q", f.payload)
 			}
 		case transport.MsgArch, transport.MsgEndSession:

@@ -59,7 +59,14 @@ import (
 // instead of MsgArch and close the connection; clients surface it as a
 // retryable *BusyError. Admitted sessions are wire-identical to v5
 // modulo the hello string.
-const protocolHello = "deepsecure/6"
+//
+// Version 7 changes no frame: it marks a new circuit. The fixed-point
+// multiplier moved from a sign-extended schoolbook array to a
+// Baugh–Wooley/Dadda column compressor, so a v6 peer would build a
+// different netlist and fail mid-inference with an authentication error
+// or a wrong label. Bumping the hello turns that into an "unknown
+// protocol" refusal at the handshake.
+const protocolHello = "deepsecure/7"
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (protocol v6 MsgBusy): the server is saturated and asks

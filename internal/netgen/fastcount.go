@@ -20,8 +20,8 @@ import (
 //
 // The builder's constant folding makes gate costs depend on the
 // *structure* of operand words, not just their width: a ReLU output has a
-// constant-zero sign bit, so every multiplier fed by it drops the
-// partial-product rows of the replicated sign. FastCount therefore tracks
+// constant-zero sign bit, so every multiplier fed by it drops that sign's
+// row of partial products. FastCount therefore tracks
 // whether each layer's activations are structurally non-negative and uses
 // matching probes.
 func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *Layout, error) {

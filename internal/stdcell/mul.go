@@ -5,68 +5,20 @@ import (
 )
 
 // MulWrap returns the low len(x) bits of x*y (two's-complement wrapping
-// product). Both operands must have the same width. The schoolbook
-// construction computes one partial-product row per multiplier bit and
-// accumulates with ripple adders; rows driven by the same wire (e.g. the
-// replicated sign wire after sign extension) share their AND row.
+// product). Both operands must have the same width.
 func MulWrap(b *circuit.Builder, x, y Word) Word {
 	sameWidth(x, y)
-	m := len(x)
-
-	// Cache AND rows keyed by the multiplier-bit wire, so sign-extended
-	// operands don't pay for the same row repeatedly.
-	rowCache := make(map[uint32]Word)
-	row := func(bit uint32) Word {
-		if r, ok := rowCache[bit]; ok {
-			return r
-		}
-		r := make(Word, m)
-		for i := range x {
-			r[i] = b.AND(x[i], bit)
-		}
-		rowCache[bit] = r
-		return r
-	}
-
-	var acc Word
-	for i := 0; i < m; i++ {
-		if y[i] == circuit.WFalse {
-			continue // zero row contributes nothing
-		}
-		var r Word
-		if y[i] == circuit.WTrue {
-			r = x
-		} else {
-			r = row(y[i])
-		}
-		width := m - i
-		if acc == nil {
-			acc = Zeros(b, m)
-			copy(acc[i:], r[:width])
-			continue
-		}
-		sum := Add(b, acc[i:], r[:width])
-		copy(acc[i:], sum)
-	}
-	if acc == nil {
-		return Zeros(b, m)
-	}
-	return acc
+	return mulColumns(b, x, y, len(x), 0)
 }
 
 // MulFixed returns the fixed-point product of two n-bit words with
 // fracBits fractional bits: bits [fracBits, fracBits+n) of the exact
 // signed product, i.e. floor((x*y)/2^frac) wrapped to n bits — exactly
-// fixed.Num.Mul. Internally both operands are sign-extended to n+fracBits
-// bits (the product mod 2^(n+frac) determines all the bits we keep).
+// fixed.Num.Mul. Only the n+fracBits low product columns are built; see
+// mulColumns for the construction.
 func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 	sameWidth(x, y)
-	n := len(x)
-	m := n + fracBits
-	xe := SignExtend(b, x, m)
-	ye := SignExtend(b, y, m)
-	p := MulWrap(b, xe, ye)
-	return p[fracBits:].Clone()
+	return mulColumns(b, x, y, len(x)+fracBits, 0)[fracBits:]
 }
 
 // MulFixedApprox is the truncated multiplier ablation: partial-product
@@ -77,50 +29,130 @@ func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 // the ablation suite but is not used on the exact inference path.
 func MulFixedApprox(b *circuit.Builder, x, y Word, fracBits, guardBits int) Word {
 	sameWidth(x, y)
-	n := len(x)
-	m := n + fracBits
 	cut := fracBits - guardBits
 	if cut < 0 {
 		cut = 0
 	}
-	xe := SignExtend(b, x, m)
-	ye := SignExtend(b, y, m)
+	return mulColumns(b, x, y, len(x)+fracBits, cut)[fracBits:]
+}
 
-	rowCache := make(map[uint32]Word)
-	row := func(bit uint32) Word {
-		if r, ok := rowCache[bit]; ok {
-			return r
+// mulColumns returns bits [0, top) of the signed product x*y, built from
+// the partial products in columns [cut, top) only (cut > 0 drops the low
+// columns and so approximates). It is a modified Baugh–Wooley array fed
+// into a Dadda column compressor:
+//
+//   - Partial product x_i∧y_j lands in column i+j. The two sign rows
+//     (exactly one of i, j is the sign index) have negative weight; each
+//     is entered as its complement (a free INV) plus a constant -1, since
+//     -t = ¬t - 1. All constants, including partial products that fold
+//     to 1 on constant operands, are summed into one word and contribute
+//     at most one constant-1 bit per column.
+//   - Dadda stages reduce every column below the top one to at most two
+//     bits with 1-AND full adders and half adders, then one ripple add
+//     resolves them.
+//   - The top column's carry-out is discarded, so it is XOR-folded for
+//     free instead of compressed.
+//
+// Columns are plain slices filled in a fixed order, so the netlist is a
+// pure function of the operands' wire structure.
+func mulColumns(b *circuit.Builder, x, y Word, top, cut int) Word {
+	n := len(x)
+	cols := make([][]uint32, top)
+	konst := make([]int, top) // signed count of constant 1s per column
+	for i := 0; i < n; i++ {
+		for j := 0; j < n && i+j < top; j++ {
+			c := i + j
+			if c < cut {
+				continue
+			}
+			w := b.AND(x[i], y[j])
+			if (i == n-1) != (j == n-1) {
+				w = b.INV(w)
+				konst[c]--
+			}
+			switch w {
+			case circuit.WTrue:
+				konst[c]++
+			case circuit.WFalse:
+			default:
+				cols[c] = append(cols[c], w)
+			}
 		}
-		r := make(Word, m)
-		for i := range xe {
-			r[i] = b.AND(xe[i], bit)
+	}
+	// Resolve the constant word mod 2^top (floor division keeps negative
+	// counts exact) and prepend its bits to their columns.
+	carry := 0
+	for c := cut; c < top; c++ {
+		v := konst[c] + carry
+		if v&1 != 0 {
+			cols[c] = append([]uint32{circuit.WTrue}, cols[c]...)
 		}
-		rowCache[bit] = r
-		return r
+		carry = v >> 1
 	}
 
-	acc := Zeros(b, m)
-	for i := 0; i < m; i++ {
-		if ye[i] == circuit.WFalse {
-			continue
+	// Dadda heights 2, 3, 4, 6, 9, ...: each stage brings every column
+	// below the top one down to the next height in the sequence.
+	maxH := 0
+	for _, col := range cols[:top-1] {
+		if len(col) > maxH {
+			maxH = len(col)
 		}
-		// Keep only product bits with index >= cut: row i contributes to
-		// bit positions i..m-1, so slice the row to start at max(i, cut).
-		start := i
-		if start < cut {
-			start = cut
-		}
-		lo := start - i // first row bit that still matters
-		var r Word
-		if ye[i] == circuit.WTrue {
-			r = xe
-		} else {
-			r = row(ye[i])
-		}
-		sum := Add(b, acc[start:], r[lo:lo+(m-start)])
-		copy(acc[start:], sum)
 	}
-	return acc[fracBits:].Clone()
+	heights := []int{2}
+	for heights[len(heights)-1] < maxH {
+		heights = append(heights, heights[len(heights)-1]*3/2)
+	}
+	for k := len(heights) - 2; k >= 0; k-- {
+		d := heights[k]
+		var in []uint32 // carries into column c from column c-1
+		for c := 0; c < top-1; c++ {
+			q := append(cols[c], in...)
+			in = nil
+			var sums []uint32
+			for h := len(q); h > d; {
+				var s, co uint32
+				if h == d+1 {
+					s, co = halfAdd(b, q[0], q[1])
+					q = q[2:]
+					h--
+				} else {
+					s, co = fullAdd(b, q[0], q[1], q[2])
+					q = q[3:]
+					h -= 2
+				}
+				sums = append(sums, s)
+				in = append(in, co)
+			}
+			cols[c] = append(q, sums...)
+		}
+		cols[top-1] = append(cols[top-1], in...)
+	}
+
+	// Final ripple add over the (at most) two remaining rows.
+	out := make(Word, top)
+	var in []uint32
+	for c := 0; c < top-1; c++ {
+		q := append(cols[c], in...)
+		in = nil
+		switch len(q) {
+		case 0:
+			out[c] = circuit.WFalse
+		case 1:
+			out[c] = q[0]
+		case 2:
+			s, co := halfAdd(b, q[0], q[1])
+			out[c], in = s, []uint32{co}
+		default:
+			s, co := fullAdd(b, q[0], q[1], q[2])
+			out[c], in = s, []uint32{co}
+		}
+	}
+	acc := circuit.WFalse
+	for _, w := range append(cols[top-1], in...) {
+		acc = b.XOR(acc, w)
+	}
+	out[top-1] = acc
+	return out
 }
 
 // Dot computes the fixed-point dot product Σ xs[i]*ws[i] with n-bit

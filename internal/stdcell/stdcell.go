@@ -123,20 +123,28 @@ func ShrLogic(b *circuit.Builder, x Word, k int) Word {
 	return out
 }
 
-// AddCarry returns x+y+cin (wrapping) and the carry-out wire. The full
-// adder uses the 1-AND construction: s = a⊕b⊕c, c' = c ⊕ ((a⊕c)∧(b⊕c)),
-// so an n-bit adder costs n non-XOR gates (n-1 when the carry-out is
-// discarded by Add).
+// fullAdd is the 1-AND full adder: s = a⊕b⊕c, co = c ⊕ ((a⊕c)∧(b⊕c)).
+func fullAdd(b *circuit.Builder, a, bb, c uint32) (s, co uint32) {
+	t1 := b.XOR(a, c)
+	t2 := b.XOR(bb, c)
+	return b.XOR(t1, bb), b.XOR(c, b.AND(t1, t2))
+}
+
+// halfAdd returns a⊕b and a∧b (free when either input is constant).
+func halfAdd(b *circuit.Builder, a, bb uint32) (s, co uint32) {
+	return b.XOR(a, bb), b.AND(a, bb)
+}
+
+// AddCarry returns x+y+cin (wrapping) and the carry-out wire. It chains
+// 1-AND full adders, so an n-bit adder costs n non-XOR gates (n-1 when
+// the carry-out is discarded by Add).
 func AddCarry(b *circuit.Builder, x, y Word, cin uint32) (Word, uint32) {
 	sameWidth(x, y)
 	n := len(x)
 	out := make(Word, n)
 	c := cin
 	for i := 0; i < n; i++ {
-		t1 := b.XOR(x[i], c)
-		t2 := b.XOR(y[i], c)
-		out[i] = b.XOR(t1, y[i])
-		c = b.XOR(c, b.AND(t1, t2))
+		out[i], c = fullAdd(b, x[i], y[i], c)
 	}
 	return out, c
 }

@@ -111,22 +111,6 @@ func TestMulFixedMatchesFixed(t *testing.T) {
 	}
 }
 
-func TestMulWrapSmallExhaustive(t *testing.T) {
-	// 4-bit exhaustive: wrapping product must equal int math mod 16.
-	f := fixed.Format{IntBits: 3, FracBits: 0}
-	c := buildBinOp(t, f, func(b *circuit.Builder, x, y Word) Word { return MulWrap(b, x, y) })
-	for a := int64(-8); a < 8; a++ {
-		for bb := int64(-8); bb < 8; bb++ {
-			x, y := f.FromRaw(a), f.FromRaw(bb)
-			got := evalBin(t, c, f, x, y).Raw()
-			want := f.Wrap(a * bb)
-			if got != want {
-				t.Fatalf("MulWrap(%d,%d) = %d, want %d", a, bb, got, want)
-			}
-		}
-	}
-}
-
 func TestMulFixedApproxError(t *testing.T) {
 	f := fixed.Default
 	guard := 4
@@ -588,8 +572,27 @@ func TestGateCountTable3Style(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if muls.AND == 0 || muls.AND > 1200 {
-		t.Errorf("MulFixed non-XOR = %d, outside sane range", muls.AND)
+	if muls.AND != 480 {
+		t.Errorf("MulFixed non-XOR = %d, want 480", muls.AND)
+	}
+	mvm, err := circuit.Count(func(b *circuit.Builder) {
+		x := make([]Word, 8)
+		for i := range x {
+			x[i] = Input(b, circuit.Garbler, f.Bits())
+		}
+		w := make([]Word, 32)
+		for i := range w {
+			w[i] = Input(b, circuit.Evaluator, f.Bits())
+		}
+		for _, o := range MatVec(b, w, x, 4, 8, f.FracBits) {
+			b.Outputs(o...)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mvm.AND != 15780 {
+		t.Errorf("MVM 1x8 * 8x4 non-XOR = %d, want 15780", mvm.AND)
 	}
 	divs, err := circuit.Count(func(b *circuit.Builder) {
 		x := Input(b, circuit.Garbler, f.Bits())
