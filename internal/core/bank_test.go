@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"deepsecure/internal/act"
+	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/gc"
 	"deepsecure/internal/gc/bank"
+	"deepsecure/internal/netgen"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
@@ -353,4 +357,95 @@ func TestBankMidStreamDeathSingleUse(t *testing.T) {
 		t.Fatalf("server 2: %v", srvErr)
 	}
 	checkLeaks()
+}
+
+// tableSink is a FrameConn that records how many table bytes were sent
+// and refuses every receive.
+type tableSink struct{ tables int }
+
+func (s *tableSink) Send(t transport.MsgType, payload []byte) error {
+	if t == transport.MsgTables {
+		s.tables += len(payload)
+	}
+	return nil
+}
+func (s *tableSink) Flush() error { return nil }
+func (s *tableSink) Recv(transport.MsgType) ([]byte, error) {
+	return nil, errors.New("test: sink has nothing to receive")
+}
+func (s *tableSink) RecvAny(...transport.MsgType) (transport.MsgType, []byte, error) {
+	return 0, nil, errors.New("test: sink has nothing to receive")
+}
+
+// TestBankEngineExactRunLength pins the banked engine's run-length
+// check: every sample's banked run must hold exactly the schedule's
+// table bytes for its step. A run one table too long or one table too
+// short in any sample is an error, both at b=1 (where the run streams
+// zero-copy) and at b=2 (where the runs interleave); an exact run
+// streams exactly b×TableBytes.
+func TestBankEngineExactRunLength(t *testing.T) {
+	net := testNet(t, act.ReLU, 21)
+	prog, err := netgen.Compile(net, fixed.Default, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := prog.Schedule
+	var st *circuit.Step
+	ord := 0 // index of st among the schedule's level runs
+	for i := range sched.Steps {
+		if s := &sched.Steps[i]; s.Kind == circuit.StepLevels {
+			if s.TableBytes > 0 {
+				st = s
+				break
+			}
+			ord++
+		}
+	}
+	if st == nil {
+		t.Fatal("test net schedules no garbled tables")
+	}
+	bk := bank.New(sched, rand.New(rand.NewSource(510)), 1, bank.Config{Depth: 2})
+	defer bk.Close()
+	for _, b := range []int{1, 2} {
+		for _, delta := range []int{0, gc.TableSize, -gc.TableSize} {
+			if err := bk.Fill(); err != nil {
+				t.Fatal(err)
+			}
+			exs, err := bk.TakeN(b)
+			if err != nil || exs == nil {
+				t.Fatalf("take %d: %v", b, err)
+			}
+			// Mis-size the last sample's run, so a check that only looks
+			// at sample 0 fails the b=2 cases.
+			victim := exs[b-1]
+			run := victim.Tables[ord]
+			if delta > 0 {
+				victim.Tables[ord] = append(run[:len(run):len(run)], make([]byte, delta)...)
+			} else {
+				victim.Tables[ord] = run[:len(run)+delta]
+			}
+			sink := &tableSink{}
+			en := &bankBatchEngine{
+				sched:  sched,
+				exs:    exs,
+				conn:   sink,
+				cfg:    EngineConfig{ChunkBytes: 2048},
+				b:      b,
+				tabOrd: ord,
+				free:   make(chan []byte, 3),
+			}
+			err = en.doLevels(st)
+			for _, ex := range exs {
+				ex.Release()
+			}
+			switch {
+			case delta == 0 && err != nil:
+				t.Fatalf("b=%d exact run rejected: %v", b, err)
+			case delta == 0 && sink.tables != b*st.TableBytes:
+				t.Fatalf("b=%d exact run streamed %d table bytes, want %d", b, sink.tables, b*st.TableBytes)
+			case delta != 0 && (err == nil || !strings.Contains(err.Error(), "table bytes")):
+				t.Fatalf("b=%d run off by %d bytes: err = %v, want a run-length error", b, delta, err)
+			}
+		}
+	}
 }

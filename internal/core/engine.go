@@ -17,26 +17,31 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the level-scheduled execution engine behind multi-inference
-// sessions. Where the sinks in sinks.go drive the GC core one gate at a
-// time on the transport goroutine, the engine executes the compiled
-// circuit.Schedule as a staged pipeline:
+// This file is the level-scheduled execution engine behind every
+// inference sub-stream. One garbler and one evaluator engine walk the
+// compiled circuit.Schedule for a batch of B independent samples — a
+// single inference is a batch of one — as a staged pipeline:
 //
 //	garbler:   [garble workers] → chunk buffer → [writer goroutine] → conn
 //	evaluator: conn → [prefetch goroutine] → frame ring → [eval workers]
 //
-// Each level's gates are garbled/evaluated by a gc.Pool; completed table
-// chunks stream to the peer while the next level is being garbled, and on
-// the evaluator a prefetcher keeps a bounded ring of table frames ahead
-// of the worker pool, so neither AES throughput nor transport latency
-// idles the other. Input, OT, and output steps are barriers executed on
-// the engine's goroutine, exactly where the tape recorded them, which
-// keeps the wire protocol's frame sequence identical to the sequential
-// engine's.
+// Each level's gates are garbled/evaluated by a gc.Pool over the SoA
+// level kernel (gc.BatchGarbler/BatchEvaluator), samples innermost inside
+// every gate; completed table chunks stream to the peer while the next
+// level is being garbled, and on the evaluator a prefetcher keeps a
+// bounded ring of table frames ahead of the worker pool, so neither AES
+// throughput nor transport latency idles the other. Input, OT, and output
+// steps are barriers executed on the engine's goroutine, exactly where
+// the tape recorded them; an input step's OT exchange covers all B
+// samples at once, and a level's tables interleave gate-major with
+// samples innermost (gate rank i, sample s at (i*B+s)*TableSize). At B=1
+// that layout is the plain per-gate stream, so a single inference's
+// frame contents do not depend on whether it was framed as MsgInfer* or
+// as a batch of one (pinned by TestBatchSize1Conformance).
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
-// schedule and ChunkBytes — so the byte stream is identical for any
+// schedule, B and ChunkBytes — so the byte stream is identical for any
 // worker count, and Workers=1 is the sequential mode the conformance
 // tests pin against.
 
@@ -250,36 +255,39 @@ func (w *tableWriter) finish() error {
 	return <-w.done
 }
 
-// garbleEngine runs the garbler's side of one inference over a compiled
-// schedule. It is the pipelined replacement for garblerSink; the session
-// reuses its buffers across inferences.
-type garbleEngine struct {
+// batchGarbleEngine runs the garbler's side of one inference sub-stream
+// of b samples (b=1 for a single inference) over a compiled schedule; the
+// session reuses its buffers across inferences.
+type batchGarbleEngine struct {
 	sched *circuit.Schedule
-	g     *gc.Garbler
+	g     *gc.BatchGarbler
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
 	cfg   EngineConfig
+	b     int
 
-	inputBits []bool
+	// inputBits holds each sample's input bit stream; all samples share
+	// the schedule's cursor (they walk the same wire sequence).
+	inputBits [][]bool
 	cursor    int
 
 	labelBuf []byte
-	outZero  []gc.Label
+	outZero  []gc.Label // wire-major, samples innermost
 
 	cur  []byte      // table chunk being filled
 	free chan []byte // recycled chunk buffers
 
-	// gateTime accumulates the wall time of the per-level GarbleBatch
-	// calls — the hash-core cost this inference paid, transport excluded.
+	// gateTime accumulates the wall time of the per-level GarbleLevel
+	// calls — the hash-core cost this sub-stream paid, transport
+	// excluded.
 	gateTime time.Duration
 	// writeTime accumulates wall time pushing table chunks into the
-	// transport (the table_write phase; from the writer goroutine when
-	// the engine is parallel).
+	// transport (the table_write phase).
 	writeTime time.Duration
 }
 
-func (en *garbleEngine) run() error {
+func (en *batchGarbleEngine) run() error {
 	en.g.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
@@ -299,73 +307,66 @@ func (en *garbleEngine) run() error {
 	return nil
 }
 
-func (en *garbleEngine) doInputs(st *circuit.Step) error {
+func (en *batchGarbleEngine) doInputs(st *circuit.Step) error {
 	if st.Party == circuit.Garbler {
 		payload := en.labelBuf[:0]
 		for _, w := range st.Wires {
-			if _, err := en.g.AssignInput(w); err != nil {
+			if err := en.g.AssignInput(w); err != nil {
 				return err
 			}
-			if en.cursor >= len(en.inputBits) {
+			if en.cursor >= len(en.inputBits[0]) {
 				return fmt.Errorf("core: garbler input underrun at wire %d", w)
 			}
-			l, err := en.g.ActiveLabel(w, en.inputBits[en.cursor])
-			if err != nil {
-				return err
+			for s := 0; s < en.b; s++ {
+				l, err := en.g.ActiveLabel(w, s, en.inputBits[s][en.cursor])
+				if err != nil {
+					return err
+				}
+				payload = append(payload, l[:]...)
 			}
 			en.cursor++
-			payload = append(payload, l[:]...)
 		}
 		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	// Evaluator inputs travel by OT: one batch per step, served from the
-	// precomputed random-OT pool (derandomization) when the session has
-	// one, or by direct IKNP otherwise.
-	pairs := make([][2]ot.Msg, len(st.Wires))
+	// Evaluator inputs travel by OT — ONE batch for all B samples of the
+	// step (wire-major, samples innermost), so the whole batch pays the
+	// round-trips of a single inference.
+	pairs := make([][2]ot.Msg, len(st.Wires)*en.b)
 	for i, w := range st.Wires {
-		l0, err := en.g.AssignInput(w)
-		if err != nil {
+		if err := en.g.AssignInput(w); err != nil {
 			return err
 		}
-		l1 := l0.XOR(en.g.R)
-		pairs[i] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l1)}
+		for s := 0; s < en.b; s++ {
+			l0, err := en.g.ZeroLabel(w, s)
+			if err != nil {
+				return err
+			}
+			l1 := l0.XOR(en.g.R[s])
+			pairs[i*en.b+s] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l1)}
+		}
 	}
 	return en.ots.Send(pairs)
 }
 
-func (en *garbleEngine) doOutputs(st *circuit.Step) error {
+func (en *batchGarbleEngine) doOutputs(st *circuit.Step) error {
 	for _, w := range st.Wires {
-		l, err := en.g.ZeroLabel(w)
-		if err != nil {
-			return err
+		for s := 0; s < en.b; s++ {
+			l, err := en.g.ZeroLabel(w, s)
+			if err != nil {
+				return err
+			}
+			en.outZero = append(en.outZero, l)
 		}
-		en.outZero = append(en.outZero, l)
 	}
 	return nil
 }
 
-// grab returns an empty chunk buffer, recycling a spent one when the
-// writer has returned it.
-func (en *garbleEngine) grab() []byte {
-	return grabChunk(en.free, en.cfg.chunkBytes())
-}
-
-// grabChunk takes an empty chunk buffer from the recycle channel, or
-// allocates one sized for the streaming chunk plus slack (shared by the
-// single and batched garble engines).
-func grabChunk(free chan []byte, chunkBytes int) []byte {
-	select {
-	case buf := <-free:
-		return buf
-	default:
-		return make([]byte, 0, chunkBytes+chunkBytes/4)
-	}
-}
-
-// doLevels executes one run of gate levels, streaming table chunks
-// through the writer goroutine while subsequent levels garble.
-func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
+// doLevels executes one run of gate levels for all b samples, streaming
+// table chunks through the writer goroutine while subsequent levels
+// garble: a chunk is emitted at the first level boundary where it holds
+// at least ChunkBytes, each level contributing ANDs×b tables.
+func (en *batchGarbleEngine) doLevels(st *circuit.Step) (err error) {
 	for _, w := range st.PreDrops {
 		en.g.Drop(w)
 	}
@@ -393,14 +394,14 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
-		need := lv.ANDs * gc.TableSize
+		need := lv.ANDs * en.b * gc.TableSize
 		off := len(cur)
 		for cap(cur) < off+need {
 			cur = append(cur[:cap(cur)], 0)
 		}
 		cur = cur[:off+need]
 		t0 := time.Now()
-		err = en.g.GarbleBatch(ands, frees, lv.GIDBase, cur[off:off+need], en.pool)
+		err = en.g.GarbleLevel(ands, frees, lv.GIDBase, cur[off:off+need], en.pool)
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break
@@ -412,7 +413,7 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 			if err = emit(cur); err != nil {
 				break
 			}
-			cur = en.grab()
+			cur = grabChunk(en.free, chunk)
 		}
 	}
 	if err == nil && len(cur) > 0 {
@@ -428,8 +429,19 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 			err = werr
 		}
 	}
-	en.cur = en.grab()
+	en.cur = grabChunk(en.free, chunk)
 	return err
+}
+
+// grabChunk takes an empty chunk buffer from the recycle channel, or
+// allocates one sized for the streaming chunk plus slack.
+func grabChunk(free chan []byte, chunkBytes int) []byte {
+	select {
+	case buf := <-free:
+		return buf
+	default:
+		return make([]byte, 0, chunkBytes+chunkBytes/4)
+	}
 }
 
 // frameRingDepth bounds the evaluator's prefetched table frames: the
@@ -442,155 +454,9 @@ const frameRingDepth = 4
 // perr) is the authoritative cause.
 var errPrefetchStopped = errors.New("core: table prefetch stopped early")
 
-// evalEngine runs the evaluator's side of one inference over a compiled
-// schedule: the pipelined replacement for evaluatorSink's gate loop.
-type evalEngine struct {
-	sched *circuit.Schedule
-	e     *gc.Evaluator
-	pool  *gc.Pool
-	conn  transport.FrameConn
-	ots   *precomp.ReceiverPool
-	cfg   EngineConfig
-
-	inputBits []bool
-	cursor    int
-
-	// seq, when set, is the pipelined session's ordered-admission gate
-	// to the shared OT pool: this inference Acquires seqTurn at its
-	// first evaluator-input step, runs all evalSteps batches while
-	// holding it, and Releases after the last — the deterministic
-	// consume order (all of inference k before any of k+1) the garbler
-	// derives from its serial garble order.
-	seq       *precomp.Sequencer
-	seqTurn   int64
-	evalSteps int
-	stepsDone int
-
-	// spec switches OT consumption to the speculative issue/collect
-	// protocol (EngineConfig.SpeculativeOT): at the first evaluator-input
-	// step the engine issues ALL steps' corrections in one flight and
-	// releases the pool turn immediately; each step then collects its
-	// response in ticket order. Requires an enabled pool.
-	spec    bool
-	specPrs []*precomp.PendingReceive
-
-	// progress, when set, is bumped once per evaluated level so
-	// idle-timeout transport wrappers can tell "quiet because the
-	// evaluation tail is still computing" from a stalled peer.
-	progress *atomic.Int64
-
-	pending   []byte
-	outLabels []gc.Label
-
-	// gateTime accumulates the wall time of the per-level EvaluateBatch
-	// calls (table waits excluded — tr.level blocks outside the window).
-	gateTime time.Duration
-	// readTime accumulates wall time blocked on table frames from the
-	// wire (the table_read phase).
-	readTime time.Duration
-}
-
-func (en *evalEngine) run() error {
-	en.e.Grow(en.sched.NumWires)
-	if en.seq != nil && en.evalSteps == 0 {
-		// No OT work this inference: pass the turn through so later
-		// inferences are not gated forever.
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-		en.seq.Release(en.seqTurn)
-	}
-	for si := range en.sched.Steps {
-		st := &en.sched.Steps[si]
-		var err error
-		switch st.Kind {
-		case circuit.StepInputs:
-			err = en.doInputs(st)
-		case circuit.StepOutputs:
-			err = en.doOutputs(st)
-		case circuit.StepLevels:
-			err = en.doLevels(st)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (en *evalEngine) doInputs(st *circuit.Step) error {
-	if st.Party == circuit.Garbler {
-		payload, err := en.conn.Recv(transport.MsgInputLabels)
-		if err != nil {
-			return err
-		}
-		if len(payload) != len(st.Wires)*gc.LabelSize {
-			return fmt.Errorf("core: input-label frame has %d bytes, want %d", len(payload), len(st.Wires)*gc.LabelSize)
-		}
-		for i, w := range st.Wires {
-			var l gc.Label
-			copy(l[:], payload[i*gc.LabelSize:])
-			en.e.SetLabel(w, l)
-		}
-		return nil
-	}
-	if en.spec {
-		if en.stepsDone == 0 {
-			prs, err := speculativeIssue(en.ots, en.seq, en.seqTurn, en.sched, en.inputBits, 1)
-			if err != nil {
-				return err
-			}
-			en.specPrs = prs
-		}
-		pr := en.specPrs[en.stepsDone]
-		en.stepsDone++
-		msgs, err := pr.Collect()
-		if err != nil {
-			return err
-		}
-		en.cursor += len(st.Wires)
-		for i, w := range st.Wires {
-			en.e.SetLabel(w, gc.Label(msgs[i]))
-		}
-		return nil
-	}
-	choices := make([]bool, len(st.Wires))
-	for i := range st.Wires {
-		if en.cursor >= len(en.inputBits) {
-			return fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
-		}
-		choices[i] = en.inputBits[en.cursor]
-		en.cursor++
-	}
-	if en.seq != nil && en.stepsDone == 0 {
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-	}
-	msgs, err := en.ots.Receive(choices)
-	if en.seq != nil {
-		en.stepsDone++
-		// Only pass the turn on after a clean final batch: a failed
-		// exchange leaves the pool desynchronized from the garbler, and
-		// handing it to the next inference would just manufacture a
-		// second, misleading desync error. Teardown's Abort unblocks any
-		// waiters instead.
-		if err == nil && en.stepsDone == en.evalSteps {
-			en.seq.Release(en.seqTurn)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	for i, w := range st.Wires {
-		en.e.SetLabel(w, gc.Label(msgs[i]))
-	}
-	return nil
-}
-
 // speculativeChoices slices the evaluator's full input-bit stream into
 // one choice vector per evaluator-input step (each wire's bit repeated b
-// times, samples innermost, for a batched engine) — the whole
+// times, samples innermost) — the whole
 // inference's OT demand, computable before any step runs because only
 // evaluator steps consume the stream.
 func speculativeChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]bool, error) {
@@ -622,7 +488,7 @@ func speculativeChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]b
 // FIFO state is fully advanced, so the next inference's corrections
 // overlap this one's evaluation and collects. A failed issue holds the
 // turn (the pool is desynchronized; teardown's Abort unblocks waiters),
-// mirroring the non-speculative engines' failed-exchange policy.
+// mirroring the non-speculative path's failed-exchange policy.
 func speculativeIssue(ots *precomp.ReceiverPool, seq *precomp.Sequencer, turn int64, sched *circuit.Schedule, inputBits []bool, b int) ([]*precomp.PendingReceive, error) {
 	steps, err := speculativeChoices(sched, inputBits, b)
 	if err != nil {
@@ -643,35 +509,200 @@ func speculativeIssue(ots *precomp.ReceiverPool, seq *precomp.Sequencer, turn in
 	return prs, nil
 }
 
-func (en *evalEngine) doOutputs(st *circuit.Step) error {
-	for _, w := range st.Wires {
-		l, err := en.e.Label(w)
+// batchEvalEngine runs the evaluator's side of one inference sub-stream
+// of b samples (b=1 for a single inference) over a compiled schedule.
+type batchEvalEngine struct {
+	sched *circuit.Schedule
+	e     *gc.BatchEvaluator
+	pool  *gc.Pool
+	conn  transport.FrameConn
+	ots   *precomp.ReceiverPool
+	cfg   EngineConfig
+	b     int
+
+	// inputBits is the evaluator's bit stream (the model's weight bits)
+	// — identical for every sample; only the labels differ per sample.
+	inputBits []bool
+	cursor    int
+
+	// seq, when set, is the pipelined session's ordered-admission gate
+	// to the shared OT pool: this sub-stream Acquires seqTurn at its
+	// first evaluator-input step, runs all evalSteps exchanges (each
+	// covering all b samples) while holding it, and Releases after the
+	// last — the deterministic consume order (all of inference k before
+	// any of k+1) the garbler derives from its serial garble order.
+	seq       *precomp.Sequencer
+	seqTurn   int64
+	evalSteps int
+	stepsDone int
+
+	// spec switches OT consumption to the speculative issue/collect
+	// protocol (EngineConfig.SpeculativeOT): at the first evaluator-input
+	// step the engine issues ALL steps' corrections — each wire's bit
+	// expanded ×b — in one flight and releases the pool turn immediately;
+	// each step then collects its response in ticket order. Requires an
+	// enabled pool.
+	spec    bool
+	specPrs []*precomp.PendingReceive
+
+	// progress, when set, is bumped once per evaluated level so
+	// idle-timeout transport wrappers can tell "quiet because the
+	// evaluation tail is still computing" from a stalled peer.
+	progress *atomic.Int64
+
+	pending   []byte
+	outLabels []gc.Label // wire-major, samples innermost
+
+	// gateTime accumulates the wall time of the per-level EvaluateLevel
+	// calls (table waits excluded).
+	gateTime time.Duration
+	// readTime accumulates wall time blocked on table frames from the
+	// wire (the table_read phase).
+	readTime time.Duration
+}
+
+func (en *batchEvalEngine) run() error {
+	en.e.Grow(en.sched.NumWires)
+	if en.seq != nil && en.evalSteps == 0 {
+		// No OT work this inference: pass the turn through so later
+		// inferences are not gated forever.
+		if err := en.seq.Acquire(en.seqTurn); err != nil {
+			return err
+		}
+		en.seq.Release(en.seqTurn)
+	}
+	for si := range en.sched.Steps {
+		st := &en.sched.Steps[si]
+		var err error
+		switch st.Kind {
+		case circuit.StepInputs:
+			err = en.doInputs(st)
+		case circuit.StepOutputs:
+			err = en.doOutputs(st)
+		case circuit.StepLevels:
+			err = en.doLevels(st)
+		}
 		if err != nil {
 			return err
 		}
-		en.outLabels = append(en.outLabels, l)
 	}
 	return nil
 }
 
-// doLevels evaluates one run of gate levels, drawing each level's table
-// block from a tableRun (which prefetches frames on a goroutine when the
-// engine is parallel).
-func (en *evalEngine) doLevels(st *circuit.Step) error {
+func (en *batchEvalEngine) doInputs(st *circuit.Step) error {
+	if st.Party == circuit.Garbler {
+		payload, err := en.conn.Recv(transport.MsgInputLabels)
+		if err != nil {
+			return err
+		}
+		if len(payload) != len(st.Wires)*en.b*gc.LabelSize {
+			return fmt.Errorf("core: input-label frame has %d bytes, want %d",
+				len(payload), len(st.Wires)*en.b*gc.LabelSize)
+		}
+		for i, w := range st.Wires {
+			for s := 0; s < en.b; s++ {
+				var l gc.Label
+				copy(l[:], payload[(i*en.b+s)*gc.LabelSize:])
+				en.e.SetLabel(w, s, l)
+			}
+		}
+		return nil
+	}
+	if en.spec {
+		if en.stepsDone == 0 {
+			prs, err := speculativeIssue(en.ots, en.seq, en.seqTurn, en.sched, en.inputBits, en.b)
+			if err != nil {
+				return err
+			}
+			en.specPrs = prs
+		}
+		pr := en.specPrs[en.stepsDone]
+		en.stepsDone++
+		msgs, err := pr.Collect()
+		if err != nil {
+			return err
+		}
+		en.cursor += len(st.Wires)
+		for i, w := range st.Wires {
+			for s := 0; s < en.b; s++ {
+				en.e.SetLabel(w, s, gc.Label(msgs[i*en.b+s]))
+			}
+		}
+		return nil
+	}
+	// One OT batch covers all B samples of the step: every sample selects
+	// with the same weight bit, each receiving its own sample's label.
+	choices := make([]bool, len(st.Wires)*en.b)
+	for i := range st.Wires {
+		if en.cursor >= len(en.inputBits) {
+			return fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
+		}
+		bit := en.inputBits[en.cursor]
+		en.cursor++
+		for s := 0; s < en.b; s++ {
+			choices[i*en.b+s] = bit
+		}
+	}
+	if en.seq != nil && en.stepsDone == 0 {
+		if err := en.seq.Acquire(en.seqTurn); err != nil {
+			return err
+		}
+	}
+	msgs, err := en.ots.Receive(choices)
+	if en.seq != nil {
+		en.stepsDone++
+		// Only pass the turn on after a clean final exchange: a failed
+		// exchange leaves the pool desynchronized from the garbler, and
+		// handing it to the next inference would just manufacture a
+		// second, misleading desync error. Teardown's Abort unblocks any
+		// waiters instead.
+		if err == nil && en.stepsDone == en.evalSteps {
+			en.seq.Release(en.seqTurn)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i, w := range st.Wires {
+		for s := 0; s < en.b; s++ {
+			en.e.SetLabel(w, s, gc.Label(msgs[i*en.b+s]))
+		}
+	}
+	return nil
+}
+
+func (en *batchEvalEngine) doOutputs(st *circuit.Step) error {
+	for _, w := range st.Wires {
+		for s := 0; s < en.b; s++ {
+			l, err := en.e.Label(w, s)
+			if err != nil {
+				return err
+			}
+			en.outLabels = append(en.outLabels, l)
+		}
+	}
+	return nil
+}
+
+// doLevels evaluates one run of gate levels for all b samples, drawing
+// each level's table block from a tableRun (which prefetches frames on a
+// goroutine when the engine is parallel); the run's table budget is the
+// schedule's, scaled by b.
+func (en *batchEvalEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.e.Drop(w)
 	}
-	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes, en.pending)
+	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes*en.b, en.pending)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
 		var block []byte
-		if block, err = tr.level(lv.ANDs * gc.TableSize); err != nil {
+		if block, err = tr.level(lv.ANDs * en.b * gc.TableSize); err != nil {
 			break
 		}
 		t0 := time.Now()
-		err = en.e.EvaluateBatch(ands, frees, lv.GIDBase, block, en.pool)
+		err = en.e.EvaluateLevel(ands, frees, lv.GIDBase, block, en.pool)
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break
@@ -690,8 +721,8 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte
-// budget (the schedule's TableBytes, scaled by the batch size for
-// batched inferences), it hands back exactly the requested bytes per
+// budget (the schedule's TableBytes, scaled by the sample count), it
+// hands back exactly the requested bytes per
 // level. With async set, a prefetch goroutine receives table frames into
 // a bounded ring ahead of the evaluate pool — preserving the §3.5
 // bounded-memory property — while a sequential engine receives frames

@@ -202,8 +202,9 @@ func (s *plainTapeEval) OnDrop(w uint32) error {
 	return nil
 }
 
-// runEngines executes nInfer garbled inferences of sched over an
-// in-memory recording pipe with the given worker count on both sides,
+// runEngines executes nInfer garbled single inferences (batches of one)
+// of sched over an in-memory recording pipe with the given worker count
+// on both sides,
 // and returns the decoded output bits per inference plus the full byte
 // logs of each direction.
 func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg EngineConfig, nInfer int, seed int64) (outs [][]bool, g2e, e2g []byte) {
@@ -225,12 +226,13 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			evalDone <- evalResult{err}
 			return
 		}
-		en := &evalEngine{
+		en := &batchEvalEngine{
 			sched: sched,
 			pool:  gc.NewPool(cfg.workers()),
 			conn:  eConn,
 			ots:   precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{}),
 			cfg:   cfg,
+			b:     1,
 		}
 		for k := 0; k < nInfer; k++ {
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
@@ -238,12 +240,16 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 				evalDone <- evalResult{err}
 				return
 			}
-			e := gc.NewEvaluator()
+			e, err := gc.NewBatchEvaluator(1)
+			if err != nil {
+				evalDone <- evalResult{err}
+				return
+			}
 			var lf, lt gc.Label
 			copy(lf[:], constLabels[:gc.LabelSize])
 			copy(lt[:], constLabels[gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, lf)
-			e.SetLabel(circuit.WTrue, lt)
+			e.SetLabel(circuit.WFalse, 0, lf)
+			e.SetLabel(circuit.WTrue, 0, lt)
 			en.e = e
 			en.cursor = 0
 			en.inputBits = eBits
@@ -276,25 +282,26 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
-		g, err := gc.NewGarbler(rng)
+		g, err := gc.NewBatchGarbler(rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, lt, err := g.ConstLabels()
+		constPayload, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gConn.Send(transport.MsgConstLabels, append(append([]byte{}, lf[:]...), lt[:]...)); err != nil {
+		if err := gConn.Send(transport.MsgConstLabels, constPayload); err != nil {
 			t.Fatal(err)
 		}
-		en := &garbleEngine{
+		en := &batchGarbleEngine{
 			sched:     sched,
 			g:         g,
 			pool:      pool,
 			conn:      gConn,
 			ots:       precomp.NewSenderPool(gConn, ots, rng),
 			cfg:       cfg,
-			inputBits: gBits,
+			b:         1,
+			inputBits: [][]bool{gBits},
 			free:      free,
 		}
 		if err := en.run(); err != nil {
@@ -317,7 +324,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			switch l {
 			case en.outZero[i]:
 				bits[i] = false
-			case en.outZero[i].XOR(g.R):
+			case en.outZero[i].XOR(g.R[0]):
 				bits[i] = true
 			default:
 				t.Fatalf("workers=%d infer %d: output label %d failed authentication", workers, k, i)
@@ -528,15 +535,19 @@ func TestEvalEngineDeadPeer(t *testing.T) {
 		}
 		closer.Close()
 
-		e := gc.NewEvaluator()
-		e.SetLabel(circuit.WFalse, gc.Label{1})
-		e.SetLabel(circuit.WTrue, gc.Label{2})
-		en := &evalEngine{
+		e, err := gc.NewBatchEvaluator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetLabel(circuit.WFalse, 0, gc.Label{1})
+		e.SetLabel(circuit.WTrue, 0, gc.Label{2})
+		en := &batchEvalEngine{
 			sched: sched,
 			e:     e,
 			pool:  gc.NewPool(workers),
 			conn:  eConn,
 			cfg:   EngineConfig{Workers: workers},
+			b:     1,
 		}
 		done := make(chan error, 1)
 		go func() { done <- en.run() }()

@@ -22,7 +22,7 @@ import (
 // hiding the output-label round-trip and the evaluation tail that
 // previously serialized consecutive inferences. The pieces:
 //
-//	reader ──▶ per-inference inbox ──▶ evalCtx goroutine (evalEngine)
+//	reader ──▶ per-inference inbox ──▶ evalCtx goroutine (batchEvalEngine)
 //	       └─▶ OT inbox ─────────────▶ whichever ctx holds the pool turn
 //	evalCtx ──▶ muxConn (mutex-serialized writes) ──▶ conn
 //
@@ -647,9 +647,9 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 // detonate inside one session's evaluation goroutine.
 var evalPanicHook func(id uint64, batch int)
 
-// serveInference is the per-context body: the pipelined analogue of the
-// serial path's serveOne, running the evaluation engine (single or
-// fused-batch) over the context's routed frames.
+// serveInference is the per-context body: it runs the evaluation engine
+// over the context's routed frames with b = c.samples(), so a single
+// (MsgInfer*) sub-stream is evaluated as a batch of one.
 func (m *sessionMux) serveInference(c *evalCtx) error {
 	if evalPanicHook != nil {
 		evalPanicHook(c.id, c.batch)
@@ -659,81 +659,43 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	if err != nil {
 		return err
 	}
+	// Const labels arrive wire-major like every sub-stream frame: the b
+	// false-labels, then the b true-labels (b=1 for a single inference).
+	b := int(c.samples())
+	if len(constLabels) != 2*b*gc.LabelSize {
+		return fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*b*gc.LabelSize)
+	}
+	e, err := gc.NewBatchEvaluator(b)
+	if err != nil {
+		return err
+	}
+	for s := 0; s < b; s++ {
+		var lf, lt gc.Label
+		copy(lf[:], constLabels[s*gc.LabelSize:])
+		copy(lt[:], constLabels[(b+s)*gc.LabelSize:])
+		e.SetLabel(circuit.WFalse, s, lf)
+		e.SetLabel(circuit.WTrue, s, lt)
+	}
 	pool := m.getPool()
 	defer m.putPool(pool)
-
-	// The two evaluator kinds share everything but the label state:
-	// install the const labels per kind, then run and recycle through
-	// one epilogue (run/putBuf/outLabels pointers come from whichever
-	// engine the branch built).
-	var run func() error
-	var pendingRef *[]byte
-	var outRef *[]gc.Label
-	var gtRef, readRef *time.Duration
-	if c.batch > 0 {
-		// Batched sub-stream: const labels arrive wire-major (the B
-		// false-labels, then the B true-labels), like every batch frame.
-		if len(constLabels) != 2*c.batch*gc.LabelSize {
-			return fmt.Errorf("core: batch const-label frame has %d bytes, want %d",
-				len(constLabels), 2*c.batch*gc.LabelSize)
-		}
-		e, err := gc.NewBatchEvaluator(c.batch)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < c.batch; s++ {
-			var lf, lt gc.Label
-			copy(lf[:], constLabels[s*gc.LabelSize:])
-			copy(lt[:], constLabels[(c.batch+s)*gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, s, lf)
-			e.SetLabel(circuit.WTrue, s, lt)
-		}
-		en := &batchEvalEngine{
-			sched:     m.sched,
-			e:         e,
-			pool:      pool,
-			conn:      view,
-			ots:       m.otp,
-			cfg:       m.cfg,
-			b:         c.batch,
-			inputBits: m.weightBits,
-			seq:       m.seqr,
-			seqTurn:   int64(c.id),
-			evalSteps: m.evalSteps,
-			spec:      m.spec,
-			progress:  &m.conn.Progress,
-			pending:   m.getBuf(),
-		}
-		run, pendingRef, outRef, gtRef, readRef = en.run, &en.pending, &en.outLabels, &en.gateTime, &en.readTime
-	} else {
-		if len(constLabels) != 2*gc.LabelSize {
-			return fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
-		}
-		e := gc.NewEvaluator()
-		var lf, lt gc.Label
-		copy(lf[:], constLabels[:gc.LabelSize])
-		copy(lt[:], constLabels[gc.LabelSize:])
-		e.SetLabel(circuit.WFalse, lf)
-		e.SetLabel(circuit.WTrue, lt)
-		en := &evalEngine{
-			sched:     m.sched,
-			e:         e,
-			pool:      pool,
-			conn:      view,
-			ots:       m.otp,
-			cfg:       m.cfg,
-			inputBits: m.weightBits,
-			seq:       m.seqr,
-			seqTurn:   int64(c.id),
-			evalSteps: m.evalSteps,
-			spec:      m.spec,
-			progress:  &m.conn.Progress,
-			pending:   m.getBuf(),
-		}
-		run, pendingRef, outRef, gtRef, readRef = en.run, &en.pending, &en.outLabels, &en.gateTime, &en.readTime
+	en := &batchEvalEngine{
+		sched:     m.sched,
+		e:         e,
+		pool:      pool,
+		conn:      view,
+		ots:       m.otp,
+		cfg:       m.cfg,
+		b:         b,
+		inputBits: m.weightBits,
+		seq:       m.seqr,
+		seqTurn:   int64(c.id),
+		evalSteps: m.evalSteps,
+		spec:      m.spec,
+		progress:  &m.conn.Progress,
+		pending:   m.getBuf(),
 	}
-	err = run()
-	m.putBuf(*pendingRef)
+	err = en.run()
+	m.putBuf(en.pending)
 	if err != nil {
 		return err
 	}
@@ -744,16 +706,15 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	ands := m.sched.ANDs * c.samples()
 	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * c.samples()
 	m.statMu.Lock()
-	m.gateTime += *gtRef
+	m.gateTime += en.gateTime
 	m.andGates += ands
 	m.freeGates += frees
 	m.statMu.Unlock()
-	obs.ObservePhase(obs.PhaseEval, *gtRef)
-	obs.ObservePhase(obs.PhaseTableRead, *readRef)
-	obs.AddGates(ands, frees, *gtRef)
-	outLabels := *outRef
-	payload := make([]byte, 0, len(outLabels)*gc.LabelSize)
-	for _, l := range outLabels {
+	obs.ObservePhase(obs.PhaseEval, en.gateTime)
+	obs.ObservePhase(obs.PhaseTableRead, en.readTime)
+	obs.AddGates(ands, frees, en.gateTime)
+	payload := make([]byte, 0, len(en.outLabels)*gc.LabelSize)
+	for _, l := range en.outLabels {
 		payload = append(payload, l[:]...)
 	}
 	// Retire the window slot BEFORE the output labels can reach the

@@ -125,10 +125,14 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 
 // referenceSerialRun replays the pre-pipelining (v3) serial wire
 // protocol from the raw building blocks — shared OT extension and pools,
-// untagged frames, strictly alternating inferences — recording both
-// directions. Its randomness consumption matches the session path's
+// untagged frames, strictly alternating inferences, one B=1 engine pair
+// per inference with no session, mux or window around it — recording
+// both directions. Its randomness consumption matches the session path's
 // (extension base phase, pool fill, one garbler per inference), so with
-// equal seeds the frame contents must match a depth-1 v4 session's.
+// equal seeds the frame contents must match a depth-1 v4 session's. It
+// drives the same engines a session does, so it pins the session
+// framing, not the engines; TestWireTranscriptGolden pins those across
+// commits.
 func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (g2e, e2g []byte) {
 	t.Helper()
 	f := fixed.Default
@@ -163,19 +167,24 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 				evalDone <- err
 				return
 			}
-			e := gc.NewEvaluator()
+			e, err := gc.NewBatchEvaluator(1)
+			if err != nil {
+				evalDone <- err
+				return
+			}
 			var lf, lt gc.Label
 			copy(lf[:], constLabels[:gc.LabelSize])
 			copy(lt[:], constLabels[gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, lf)
-			e.SetLabel(circuit.WTrue, lt)
-			en := &evalEngine{
+			e.SetLabel(circuit.WFalse, 0, lf)
+			e.SetLabel(circuit.WTrue, 0, lt)
+			en := &batchEvalEngine{
 				sched:     prog.Schedule,
 				e:         e,
 				pool:      pool,
 				conn:      eConn,
 				ots:       otp,
 				cfg:       cfg,
+				b:         1,
 				inputBits: weightBits,
 			}
 			if err := en.run(); err != nil {
@@ -213,25 +222,26 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		for _, v := range x {
 			bits = append(bits, f.FromFloatSat(v).Bits()...)
 		}
-		g, err := gc.NewGarbler(rng)
+		g, err := gc.NewBatchGarbler(rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, lt, err := g.ConstLabels()
+		constPayload, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gConn.Send(transport.MsgConstLabels, append(append([]byte{}, lf[:]...), lt[:]...)); err != nil {
+		if err := gConn.Send(transport.MsgConstLabels, constPayload); err != nil {
 			t.Fatal(err)
 		}
-		en := &garbleEngine{
+		en := &batchGarbleEngine{
 			sched:     prog.Schedule,
 			g:         g,
 			pool:      pool,
 			conn:      gConn,
 			ots:       otp,
 			cfg:       cfg,
-			inputBits: bits,
+			b:         1,
+			inputBits: [][]bool{bits},
 			free:      make(chan []byte, 3),
 		}
 		if err := en.run(); err != nil {

@@ -815,164 +815,29 @@ func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
 // has room it returns as soon as the garbled stream is flushed — the
 // output round-trip and the server's evaluation tail overlap the next
 // InferAsync's garbling. When the window is full it first settles the
-// oldest in-flight result.
+// oldest in-flight result. The inference runs as a batch of one on the
+// same engine as InferBatchAsync, framed as a MsgInferBegin sub-stream.
 func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
-	if s.closed {
-		return nil, errors.New("core: session is closed")
-	}
-	if s.failed {
-		return nil, errors.New("core: session is broken by an earlier protocol error")
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	if got, want := len(x), s.inputLen; got != want {
 		// Validated before any frame is sent: the session stays usable.
 		return nil, fmt.Errorf("core: sample has %d features, model wants %d", got, want)
 	}
-	for len(s.inflight) >= s.window {
-		if err := s.resolveNext(); err != nil {
-			s.failed = true
-			return nil, err
-		}
-	}
-	bits := make([]bool, 0, len(x)*s.f.Bits())
-	for _, v := range x {
-		bits = append(bits, s.f.FromFloatSat(v).Bits()...)
-	}
-
-	// Any error past this point leaves the wire mid-inference: mark the
-	// session broken so a retry can't desynchronize the protocol.
-	fail := func(err error) (*PendingInference, error) {
-		s.failed = true
-		return nil, err
-	}
-	id := s.nextID
-	s.nextID++
-	p := &PendingInference{
-		s:     s,
-		id:    id,
-		batch: 1,
-		start: time.Now(),
-		sent0: s.conn.BytesSent.Load(),
-		recv0: s.conn.BytesReceived.Load(),
-		ot0:   s.ots.Stats(),
-	}
-	s.tagBuf = transport.AppendTag(s.tagBuf[:0], id)
-	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
-		return fail(err)
-	}
-	// Garble-ahead fast path: a banked execution already holds this
-	// inference's delta, labels, and full table stream — the online work
-	// is label selection and zero-copy stream writes, byte-identical to
-	// what live garbling would produce from the same rng state. A miss
-	// (bank off, drained, or its spilled tables unreadable — the take
-	// error degrades to a miss because the live path below is always
-	// correct) falls through to live garbling.
-	if s.bank != nil {
-		ex, _ := s.bank.Take()
-		if ex != nil {
-			return s.inferBanked(p, id, bits, ex)
-		}
-		p.bankMiss = true
-		s.bankMisses++
-	}
-	// Fresh garbling state per inference: a new Free-XOR delta and new
-	// wire labels, so transcripts of different inferences are unlinkable.
-	g, err := gc.NewGarbler(s.rng)
-	if err != nil {
-		return fail(err)
-	}
-	lf, lt, err := g.ConstLabels()
-	if err != nil {
-		return fail(err)
-	}
-	constPayload := append(append(s.labelBuf[:0], lf[:]...), lt[:]...)
-	if err := s.conn.SendTagged(transport.MsgInferConst, id, constPayload); err != nil {
-		return fail(err)
-	}
-	en := &garbleEngine{
-		sched:     s.prog.Schedule,
-		g:         g,
-		pool:      s.pool,
-		conn:      singleGarbleConn(s, id),
-		ots:       s.ots,
-		cfg:       s.cfg,
-		inputBits: bits,
-		labelBuf:  s.labelBuf[:0],
-		// outZero is NOT recycled across inferences here: in-flight
-		// inferences hold theirs until their outputs authenticate.
-		cur:  s.chunkBuf,
-		free: s.freeBufs,
-	}
-	if err := en.run(); err != nil {
-		return fail(err)
-	}
-	if err := s.conn.Flush(); err != nil {
-		return fail(err)
-	}
-	p.flushed = time.Now()
-	obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
-	obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
-	// Hand the grown buffers back for the next inference on this session.
-	s.chunkBuf = en.cur
-	s.labelBuf = en.labelBuf
-	// Keep only what output authentication needs: the garbler (with its
-	// schedule-sized label array) is released here, not when the outputs
-	// return.
-	p.deltas = []gc.Label{g.R}
-	p.outZero = en.outZero
-	p.andGates = g.ANDGates
-	p.freeGates = g.FreeGates
-	p.gateTime = en.gateTime
-	s.inflight = append(s.inflight, p)
-	return p, nil
+	return s.infer([][]float64{x}, false)
 }
 
-// inferBanked streams one banked execution as inference id's sub-stream
-// (the begin frame is already out). The execution is off the bank for
-// good: on a mid-stream error it is released and discarded with the
-// broken session — single-use, never re-issued.
-func (s *Session) inferBanked(p *PendingInference, id uint64, bits []bool, ex *bank.Execution) (*PendingInference, error) {
-	fail := func(err error) (*PendingInference, error) {
-		ex.Release()
-		s.failed = true
-		return nil, err
+// usable reports why the session cannot start another inference, if it
+// cannot.
+func (s *Session) usable() error {
+	if s.closed {
+		return errors.New("core: session is closed")
 	}
-	constPayload := append(append(s.labelBuf[:0], ex.ConstFalse[:]...), ex.ConstTrue[:]...)
-	if err := s.conn.SendTagged(transport.MsgInferConst, id, constPayload); err != nil {
-		return fail(err)
+	if s.failed {
+		return errors.New("core: session is broken by an earlier protocol error")
 	}
-	en := &bankStreamEngine{
-		sched:     s.prog.Schedule,
-		ex:        ex,
-		conn:      singleGarbleConn(s, id),
-		ots:       s.ots,
-		cfg:       s.cfg,
-		inputBits: bits,
-		labelBuf:  s.labelBuf[:0],
-	}
-	// The bank hit's online cost IS the streaming: label selection plus
-	// zero-copy stream writes, garbling excluded — the garble_bank span
-	// covers the run and its flush.
-	sp := obs.Span(obs.PhaseGarbleBank)
-	if err := en.run(); err != nil {
-		return fail(err)
-	}
-	if err := s.conn.Flush(); err != nil {
-		return fail(err)
-	}
-	sp.End()
-	p.flushed = time.Now()
-	s.labelBuf = en.labelBuf
-	// Output authentication keeps value copies of the delta and the
-	// zero-labels; the streamed material is zeroed now.
-	p.deltas = []gc.Label{ex.R}
-	p.outZero = ex.OutZero
-	p.andGates = ex.ANDGates
-	p.freeGates = ex.FreeGates
-	p.bankHit = true
-	ex.Release()
-	s.bankHits++
-	s.inflight = append(s.inflight, p)
-	return p, nil
+	return nil
 }
 
 // PendingBatch is a batched inference whose fused garbled stream is on
@@ -1010,11 +875,8 @@ func (pb *PendingBatch) Size() int { return pb.p.batch }
 // sample widths) are reported before any frame is sent and leave the
 // session usable.
 func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
-	if s.closed {
-		return nil, errors.New("core: session is closed")
-	}
-	if s.failed {
-		return nil, errors.New("core: session is broken by an earlier protocol error")
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	b := len(xs)
 	if b == 0 {
@@ -1028,12 +890,25 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 			return nil, fmt.Errorf("core: batch sample %d has %d features, model wants %d", i, got, want)
 		}
 	}
+	p, err := s.infer(xs, true)
+	if err != nil {
+		return nil, err
+	}
+	return &PendingBatch{p: p}, nil
+}
+
+// infer garbles and streams one inference sub-stream of len(xs)
+// validated samples: a MsgBatchBegin batch when batched, a MsgInferBegin
+// single inference (len(xs) = 1) otherwise. Both kinds run the same
+// engine and differ only in framing.
+func (s *Session) infer(xs [][]float64, batched bool) (*PendingInference, error) {
 	for len(s.inflight) >= s.window {
 		if err := s.resolveNext(); err != nil {
 			s.failed = true
 			return nil, err
 		}
 	}
+	b := len(xs)
 	bits := make([][]bool, b)
 	for i, x := range xs {
 		bits[i] = make([]bool, 0, len(x)*s.f.Bits())
@@ -1044,7 +919,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 
 	// Any error past this point leaves the wire mid-inference: mark the
 	// session broken so a retry can't desynchronize the protocol.
-	fail := func(err error) (*PendingBatch, error) {
+	fail := func(err error) (*PendingInference, error) {
 		s.failed = true
 		return nil, err
 	}
@@ -1054,31 +929,42 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		s:       s,
 		id:      id,
 		batch:   b,
-		batched: true,
+		batched: batched,
 		start:   time.Now(),
 		sent0:   s.conn.BytesSent.Load(),
 		recv0:   s.conn.BytesReceived.Load(),
 		ot0:     s.ots.Stats(),
 	}
-	s.tagBuf = transport.AppendTag(transport.AppendTag(s.tagBuf[:0], id), uint64(b))
-	if err := s.conn.Send(transport.MsgBatchBegin, s.tagBuf); err != nil {
+	conn := singleGarbleConn(s, id)
+	begin := transport.MsgInferBegin
+	s.tagBuf = transport.AppendTag(s.tagBuf[:0], id)
+	if batched {
+		conn = batchGarbleConn(s, id)
+		begin = transport.MsgBatchBegin
+		s.tagBuf = transport.AppendTag(s.tagBuf, uint64(b))
+	}
+	if err := s.conn.Send(begin, s.tagBuf); err != nil {
 		return fail(err)
 	}
-	// Garble-ahead fast path: a batch consumes B banked single
-	// executions (all-or-nothing) and interleaves their table streams
-	// into the fused wire format — each sample keeps its own delta and
-	// labels, exactly as the live batch garbler would have drawn them.
+	// Garble-ahead fast path: the sub-stream consumes b banked
+	// executions (all-or-nothing), each holding one sample's delta,
+	// labels, and full table stream — the online work is label selection
+	// and stream writes, byte-identical at b=1 to what live garbling
+	// would produce from the same rng state. A miss (bank off, drained,
+	// or its spilled tables unreadable — the take error degrades to a
+	// miss because the live path below is always correct) falls through
+	// to live garbling.
 	if s.bank != nil {
 		exs, _ := s.bank.TakeN(b)
 		if exs != nil {
-			return s.inferBatchBanked(p, id, bits, exs)
+			return s.inferBatchBanked(p, conn, bits, exs)
 		}
 		p.bankMiss = true
 		s.bankMisses += int64(b)
 	}
-	// Fresh garbling state per sample: every sample has its own Free-XOR
-	// delta and its own wire labels, so the samples of a batch are as
-	// unlinkable as separate inferences.
+	// Fresh garbling state per inference and per sample: every sample has
+	// its own Free-XOR delta and its own wire labels, so the samples of a
+	// batch are as unlinkable as separate inferences.
 	bg, err := gc.NewBatchGarbler(s.rng, b)
 	if err != nil {
 		return fail(err)
@@ -1087,14 +973,14 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if err := s.conn.SendTagged(transport.MsgBatchConst, id, constPayload); err != nil {
+	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
 	en := &batchGarbleEngine{
 		sched:     s.prog.Schedule,
 		g:         bg,
 		pool:      s.pool,
-		conn:      batchGarbleConn(s, id),
+		conn:      conn,
 		ots:       s.ots,
 		cfg:       s.cfg,
 		b:         b,
@@ -1114,35 +1000,39 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	p.flushed = time.Now()
 	obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
 	obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
+	// Hand the grown buffers back for the next inference on this session.
 	s.chunkBuf = en.cur
 	s.labelBuf = en.labelBuf
+	// Keep only what output authentication needs: the garbler (with its
+	// schedule-sized label array) is released here, not when the outputs
+	// return.
 	p.deltas = bg.R
 	p.outZero = en.outZero
 	p.andGates = bg.ANDGates
 	p.freeGates = bg.FreeGates
 	p.gateTime = en.gateTime
 	s.inflight = append(s.inflight, p)
-	return &PendingBatch{p: p}, nil
+	return p, nil
 }
 
-// inferBatchBanked streams B banked executions as batch id's fused
-// sub-stream (the begin frame is already out). Like the single path,
-// the executions are gone from the bank whatever happens: a mid-stream
-// error discards them with the broken session.
-func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool, exs []*bank.Execution) (*PendingBatch, error) {
+// inferBatchBanked streams b banked executions as the sub-stream p (its
+// begin frame is already out). The executions are off the bank for
+// good: on a mid-stream error they are released and discarded with the
+// broken session — single-use, never re-issued.
+func (s *Session) inferBatchBanked(p *PendingInference, conn garbleConn, bits [][]bool, exs []*bank.Execution) (*PendingInference, error) {
 	b := len(exs)
 	release := func() {
 		for _, ex := range exs {
 			ex.Release()
 		}
 	}
-	fail := func(err error) (*PendingBatch, error) {
+	fail := func(err error) (*PendingInference, error) {
 		release()
 		s.failed = true
 		return nil, err
 	}
-	// Const payload in the batch wire layout: the B false-labels, then
-	// the B true-labels.
+	// Const payload in the sub-stream's wire layout: the b false-labels,
+	// then the b true-labels.
 	constPayload := s.labelBuf[:0]
 	for _, ex := range exs {
 		constPayload = append(constPayload, ex.ConstFalse[:]...)
@@ -1150,13 +1040,13 @@ func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool
 	for _, ex := range exs {
 		constPayload = append(constPayload, ex.ConstTrue[:]...)
 	}
-	if err := s.conn.SendTagged(transport.MsgBatchConst, id, constPayload); err != nil {
+	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
 	en := &bankBatchEngine{
 		sched:     s.prog.Schedule,
 		exs:       exs,
-		conn:      batchGarbleConn(s, id),
+		conn:      conn,
 		ots:       s.ots,
 		cfg:       s.cfg,
 		b:         b,
@@ -1165,8 +1055,9 @@ func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool
 		cur:       s.chunkBuf,
 		free:      s.freeBufs,
 	}
-	// Bank-hit online cost: the interleave copy plus stream writes (see
-	// inferBanked — same phase, fused wire format).
+	// The bank hit's online cost IS the streaming: label selection plus
+	// stream writes (and, for b > 1, the table interleave copy), garbling
+	// excluded — the garble_bank span covers the run and its flush.
 	sp := obs.Span(obs.PhaseGarbleBank)
 	if err := en.run(); err != nil {
 		return fail(err)
@@ -1178,6 +1069,8 @@ func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool
 	p.flushed = time.Now()
 	s.chunkBuf = en.cur
 	s.labelBuf = en.labelBuf
+	// Output authentication keeps value copies of the deltas and the
+	// zero-labels; the streamed material is zeroed now.
 	p.deltas = make([]gc.Label, b)
 	outWires := len(exs[0].OutZero)
 	p.outZero = make([]gc.Label, outWires*b)
@@ -1193,7 +1086,7 @@ func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool
 	release()
 	s.bankHits += int64(b)
 	s.inflight = append(s.inflight, p)
-	return &PendingBatch{p: p}, nil
+	return p, nil
 }
 
 // InferBatch classifies a batch of samples in one fused pass and

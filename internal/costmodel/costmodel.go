@@ -40,40 +40,56 @@ func Paper() Coefficients {
 }
 
 // Calibrate measures this machine's per-gate garble+evaluate cost over n
-// gates of each class, mirroring §4.3's characterization subroutines.
+// gates of each class, mirroring §4.3's characterization subroutines. It
+// times the kernel every session runs — one-level gc.BatchGarbler /
+// gc.BatchEvaluator calls at B=1 on a one-worker pool — rather than the
+// per-gate scalar oracle.
 func Calibrate(n int) (Coefficients, error) {
 	if n < 1000 {
 		n = 1000
 	}
 	rng := rand.New(rand.NewSource(424242))
-	g, err := gc.NewGarbler(rng)
+	g, err := gc.NewBatchGarbler(rng, 1)
 	if err != nil {
 		return Coefficients{}, err
 	}
-	e := gc.NewEvaluator()
-	lf, lt, err := g.ConstLabels()
+	e, err := gc.NewBatchEvaluator(1)
 	if err != nil {
 		return Coefficients{}, err
 	}
-	e.SetLabel(circuit.WFalse, lf)
-	e.SetLabel(circuit.WTrue, lt)
-	const nin = 64
-	for w := uint32(2); w < 2+nin; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			return Coefficients{}, err
-		}
-		l, err := g.ActiveLabel(w, rng.Intn(2) == 1)
+	// Cycle output wires through a bounded window so the label arrays
+	// stay cache-resident, like the streaming execution does: each level
+	// call covers at most window gates, whose outputs are distinct.
+	const nin, window = 64, 4096
+	g.Grow(2 + nin + window)
+	e.Grow(2 + nin + window)
+	setActive := func(w uint32, bit bool) error {
+		l, err := g.ActiveLabel(w, 0, bit)
 		if err != nil {
+			return err
+		}
+		e.SetLabel(w, 0, l)
+		return nil
+	}
+	if err := setActive(circuit.WFalse, false); err != nil {
+		return Coefficients{}, err
+	}
+	if err := setActive(circuit.WTrue, true); err != nil {
+		return Coefficients{}, err
+	}
+	for w := uint32(2); w < 2+nin; w++ {
+		if err := g.AssignInput(w); err != nil {
 			return Coefficients{}, err
 		}
-		e.SetLabel(w, l)
+		if err := setActive(w, rng.Intn(2) == 1); err != nil {
+			return Coefficients{}, err
+		}
 	}
 
-	// Cycle output wires through a bounded window so the label arrays
-	// stay cache-resident, like the streaming execution does.
-	const window = 4096
+	pool := gc.NewPool(1)
+	tables := make([]byte, window*gc.TableSize)
+	var gid uint64
 	measure := func(op circuit.Op) (float64, error) {
-		var tables []byte
 		gates := make([]circuit.Gate, n)
 		for i := range gates {
 			gates[i] = circuit.Gate{
@@ -84,15 +100,20 @@ func Calibrate(n int) (Coefficients, error) {
 			}
 		}
 		start := time.Now()
-		var err error
-		for _, gt := range gates {
-			tables, err = g.Garble(gt, tables[:0])
-			if err != nil {
+		for lo := 0; lo < n; lo += window {
+			level := gates[lo:min(lo+window, n)]
+			ands, frees := level, []circuit.Gate(nil)
+			if op != circuit.AND {
+				ands, frees = nil, level
+			}
+			tab := tables[:len(ands)*gc.TableSize]
+			if err := g.GarbleLevel(ands, frees, gid, tab, pool); err != nil {
 				return 0, err
 			}
-			if _, err = e.Eval(gt, tables); err != nil {
+			if err := e.EvaluateLevel(ands, frees, gid, tab, pool); err != nil {
 				return 0, err
 			}
+			gid += uint64(len(ands))
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(n), nil
 	}

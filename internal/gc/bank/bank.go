@@ -448,21 +448,26 @@ func (b *Bank) Close() {
 }
 
 // garbleOne pre-garbles one execution: the recording twin of the live
-// garbling engine's schedule walk. The rng draw order — delta, constant
-// labels, then one fresh label per input wire in schedule-step order —
-// matches live garbling exactly, and each level run's tables land
-// contiguously in run order, so the recorded bytes are what live
-// garbling would have streamed from the same rng state.
+// garbling engine's schedule walk, on the same B=1 level kernel. The rng
+// draw order — delta, constant labels, then one fresh label per input
+// wire in schedule-step order — matches live garbling exactly, and each
+// level run's tables land contiguously in run order, so the recorded
+// bytes are what live garbling would have streamed from the same rng
+// state.
 func (b *Bank) garbleOne() (*Execution, error) {
-	g, err := gc.NewGarbler(b.rng)
+	g, err := gc.NewBatchGarbler(b.rng, 1)
 	if err != nil {
 		return nil, err
 	}
-	lf, lt, err := g.ConstLabels()
+	lf, err := g.ActiveLabel(circuit.WFalse, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	ex := &Execution{R: g.R, ConstFalse: lf, ConstTrue: lt}
+	lt, err := g.ActiveLabel(circuit.WTrue, 0, true)
+	if err != nil {
+		return nil, err
+	}
+	ex := &Execution{R: g.R[0], ConstFalse: lf, ConstTrue: lt}
 	g.Grow(b.sched.NumWires)
 	for si := range b.sched.Steps {
 		st := &b.sched.Steps[si]
@@ -470,14 +475,17 @@ func (b *Bank) garbleOne() (*Execution, error) {
 		case circuit.StepInputs:
 			zs := make([]gc.Label, len(st.Wires))
 			for i, w := range st.Wires {
-				if zs[i], err = g.AssignInput(w); err != nil {
+				if err := g.AssignInput(w); err != nil {
+					return nil, err
+				}
+				if zs[i], err = g.ZeroLabel(w, 0); err != nil {
 					return nil, err
 				}
 			}
 			ex.InputZero = append(ex.InputZero, zs)
 		case circuit.StepOutputs:
 			for _, w := range st.Wires {
-				l, err := g.ZeroLabel(w)
+				l, err := g.ZeroLabel(w, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -493,7 +501,7 @@ func (b *Bank) garbleOne() (*Execution, error) {
 				lv := &b.sched.Levels[li]
 				ands, frees := b.sched.LevelGates(lv)
 				need := lv.ANDs * gc.TableSize
-				if err := g.GarbleBatch(ands, frees, lv.GIDBase, run[off:off+need], b.pool); err != nil {
+				if err := g.GarbleLevel(ands, frees, lv.GIDBase, run[off:off+need], b.pool); err != nil {
 					return nil, err
 				}
 				off += need

@@ -100,15 +100,18 @@ func (s *plainEval) OnOutputs(ws []uint32) error {
 
 func (s *plainEval) OnDrop(w uint32) error { return nil }
 
-// evalExecution runs a banked execution through gc.Evaluator against the
-// schedule, selecting input labels from the banked zero-labels and the
-// given bits, and decodes the outputs against OutZero — proving the
-// banked material is a complete, valid garbling.
+// evalExecution runs a banked execution through a B=1 gc.BatchEvaluator
+// against the schedule, selecting input labels from the banked
+// zero-labels and the given bits, and decodes the outputs against
+// OutZero — proving the banked material is a complete, valid garbling.
 func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, eBits []bool) []bool {
 	t.Helper()
-	e := gc.NewEvaluator()
-	e.SetLabel(circuit.WFalse, ex.ConstFalse)
-	e.SetLabel(circuit.WTrue, ex.ConstTrue)
+	e, err := gc.NewBatchEvaluator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetLabel(circuit.WFalse, 0, ex.ConstFalse)
+	e.SetLabel(circuit.WTrue, 0, ex.ConstTrue)
 	e.Grow(sched.NumWires)
 	pool := gc.NewPool(1)
 	inOrd, tabOrd := 0, 0
@@ -130,11 +133,11 @@ func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, 
 					l = l.XOR(ex.R)
 				}
 				*bits = (*bits)[1:]
-				e.SetLabel(w, l)
+				e.SetLabel(w, 0, l)
 			}
 		case circuit.StepOutputs:
 			for oi, w := range st.Wires {
-				l, err := e.Label(w)
+				l, err := e.Label(w, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,7 +158,7 @@ func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, 
 				lv := &sched.Levels[li]
 				ands, frees := sched.LevelGates(lv)
 				need := lv.ANDs * gc.TableSize
-				if err := e.EvaluateBatch(ands, frees, lv.GIDBase, run[off:off+need], pool); err != nil {
+				if err := e.EvaluateLevel(ands, frees, lv.GIDBase, run[off:off+need], pool); err != nil {
 					t.Fatal(err)
 				}
 				off += need

@@ -9,27 +9,27 @@ import (
 	"deepsecure/internal/sched"
 )
 
-// This file is the level-batch face of the GC engine: where Garble/Eval
-// consume one gate at a time with implicit state (the internal AND
-// counter that keys hash tweaks, the append-grown table slice), the batch
-// APIs process a whole stratum of mutually independent gates — as
-// produced by circuit.NewSchedule — against explicit coordinates: the
-// level's global AND index base fixes every tweak, and each AND gate
-// writes its two ciphertexts at rank*TableSize inside a caller-provided
-// table block. Nothing depends on execution order inside a level, so a
-// Pool can stripe the gates across workers while the produced bytes stay
-// identical for any worker count.
+// This file holds what the level engines (vec.go) and the scalar
+// Garble/Eval oracle share: the worker Pool that stripes one schedule
+// level's gates across goroutines, and the half-gates AND and free-gate
+// cryptography. A level is a stratum of mutually independent gates — as
+// produced by circuit.NewSchedule — processed against explicit
+// coordinates: the level's global AND index base fixes every tweak, and
+// each AND gate writes its ciphertexts at a rank-derived offset inside a
+// caller-provided table block. Nothing depends on execution order inside
+// a level, so a Pool can stripe the gates across workers while the
+// produced bytes stay identical for any worker count.
 
-// Pool is a reusable worker set for batch garbling/evaluation, in one
+// Pool is a reusable worker set for level garbling/evaluation, in one
 // of two modes. A private pool (NewPool) owns per-worker goroutines
-// spawned per batch call, each with a private Hasher so the fixed-key
-// AES state is never shared across goroutines; a single batch call uses
+// spawned per level call, each with a private Hasher so the fixed-key
+// AES state is never shared across goroutines; a single level call uses
 // a private pool exclusively. A shared pool (NewSharedPool) owns no
-// workers at all: batch calls submit their per-worker spans as chunks
+// workers at all: level calls submit their per-worker spans as chunks
 // to a process-wide sched.Pool, whose fixed worker set steals work
 // across every session's level runs. A shared-mode Pool keeps no
 // per-call state (hashers come from a recycling pool per chunk), so —
-// unlike private mode — it IS safe for concurrent batch calls and one
+// unlike private mode — it IS safe for concurrent level calls and one
 // instance can back a whole server.
 //
 // Either mode stripes gates with identical span arithmetic, so the
@@ -59,7 +59,7 @@ func NewPool(n int) *Pool {
 
 // NewSharedPool builds a pool that submits its level runs to the shared
 // scheduler s, fanning each run out at most width ways (width < 1 is
-// clamped to 1). The returned Pool is safe for concurrent batch calls;
+// clamped to 1). The returned Pool is safe for concurrent level calls;
 // the byte streams it produces are identical to a width-worker private
 // pool's.
 func NewSharedPool(s *sched.Pool, width int) *Pool {
@@ -79,7 +79,7 @@ func (p *Pool) Workers() int {
 }
 
 // Shared reports whether this pool submits to a shared scheduler (and
-// is therefore safe for concurrent batch calls).
+// is therefore safe for concurrent level calls).
 func (p *Pool) Shared() bool { return p.shared != nil }
 
 // hasherPool recycles Hashers for shared-mode chunks: a shared gc.Pool
@@ -105,22 +105,18 @@ const (
 	laneMinFrees = 512
 )
 
-// run executes fn over per-worker spans of the AND range [0, nAND) and
-// the free range [0, nFree). The two populations are striped separately
-// — a single partition of the concatenation would hand every AES-heavy
-// AND gate to the first workers and leave the rest doing only label
-// XORs. Small batches run inline (goroutine handoff would cost more than
-// the AES work saved). The first error wins.
-func (p *Pool) run(nAND, nFree int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
-	return p.runScaled(nAND, nFree, 1, fn)
-}
-
-// runScaled is run with a per-gate work multiplier: the vectorized batch
-// engine processes scale (= batch size B) samples inside every gate
-// visit, so the fan-out thresholds compare nAND×scale gate-instances —
-// a level of 8 ANDs at B=16 is 128 AES-heavy units and worth striping —
-// while the spans handed to workers remain gate ranges (samples stay
-// innermost, per worker, for cache locality).
+// runScaled executes fn over per-worker spans of the AND range [0, nAND)
+// and the free range [0, nFree). The two populations are striped
+// separately — a single partition of the concatenation would hand every
+// AES-heavy AND gate to the first workers and leave the rest doing only
+// label XORs. scale is the per-gate work multiplier: the level engines
+// process scale (= batch size B) samples inside every gate visit, so the
+// fan-out thresholds compare nAND×scale gate-instances — a level of 8
+// ANDs at B=16 is 128 AES-heavy units and worth striping — while the
+// spans handed to workers remain gate ranges (samples stay innermost,
+// per worker, for cache locality). Small levels run inline (goroutine
+// handoff would cost more than the AES work saved). The first error
+// wins.
 func (p *Pool) runScaled(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
 	w := p.Workers()
 	if n := nAND + nFree; w > n {
@@ -194,111 +190,6 @@ func (p *Pool) runScaled(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi
 			return err
 		}
 	}
-	return nil
-}
-
-// Grow pre-sizes the garbler's label storage for wires [0, n). Batch
-// calls never grow storage (growth would race between workers), so the
-// engine must Grow to the schedule's namespace once per inference.
-// Unlike the incremental ensure, Grow allocates the exact final size in
-// one step — a fresh garbler per inference would otherwise pay ~2× the
-// label array in append-doubling garbage.
-func (g *Garbler) Grow(n uint32) {
-	if uint32(len(g.labels)) >= n {
-		return
-	}
-	labels := make([]Label, n)
-	copy(labels, g.labels)
-	g.labels = labels
-	have := make([]bool, n)
-	copy(have, g.have)
-	g.have = have
-}
-
-// Grow pre-sizes the evaluator's label storage for wires [0, n) in one
-// exact-size allocation.
-func (e *Evaluator) Grow(n uint32) {
-	if uint32(len(e.labels)) >= n {
-		return
-	}
-	labels := make([]Label, n)
-	copy(labels, e.labels)
-	e.labels = labels
-	have := make([]bool, n)
-	copy(have, e.have)
-	e.have = have
-}
-
-// GarbleBatch garbles one level of mutually independent gates: ands are
-// the level's AND gates and frees its XOR/INV gates. The i-th AND gate
-// has global AND index gidBase+i (keying its hash tweaks) and writes its
-// two half-gate ciphertexts at table[i*TableSize:]; table must therefore
-// hold exactly len(ands)*TableSize bytes. Gates are striped over pool's
-// workers; the caller must guarantee level independence (distinct output
-// wires, no gate reading a wire another gate in the batch writes) — which
-// circuit.NewSchedule establishes — and must have Grown the garbler past
-// every wire id in the batch.
-func (g *Garbler) GarbleBatch(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	if len(table) != len(ands)*TableSize {
-		return fmt.Errorf("gc: garble batch table is %d bytes, want %d", len(table), len(ands)*TableSize)
-	}
-	err := pool.run(len(ands), len(frees), func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Gather garbleUnits AND gates per multi-lane hash flush; level
-		// independence makes the deferred output-label writes safe.
-		var us [garbleUnits]andUnit
-		var outs [garbleUnits]Label
-		var outw [garbleUnits]uint32
-		nu := 0
-		flush := func() error {
-			garbleANDWide(h, &us, nu)
-			for k := 0; k < nu; k++ {
-				if err := g.setLabel(outw[k], outs[k]); err != nil {
-					return err
-				}
-			}
-			nu = 0
-			return nil
-		}
-		for i := andLo; i < andHi; i++ {
-			gate := ands[i]
-			a0, err := g.ZeroLabel(gate.A)
-			if err != nil {
-				return err
-			}
-			b0, err := g.ZeroLabel(gate.B)
-			if err != nil {
-				return err
-			}
-			gid := gidBase + uint64(i)
-			us[nu] = andUnit{
-				a0: a0, b0: b0, r: g.R, r2: g.r2,
-				j0: 2 * gid, j1: 2*gid + 1,
-				dst: table[i*TableSize : (i+1)*TableSize],
-				out: &outs[nu],
-			}
-			outw[nu] = gate.Out
-			nu++
-			if nu == garbleUnits {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := g.garbleFree(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	g.ANDGates += int64(len(ands))
-	g.FreeGates += int64(len(frees))
 	return nil
 }
 
@@ -401,7 +292,8 @@ func garbleANDWide(h *Hasher, us *[garbleUnits]andUnit, n int) {
 	}
 }
 
-// garbleFree handles the tableless gates (XOR, INV) in batch mode.
+// garbleFree handles the tableless gates (XOR, INV) for the scalar
+// Garble oracle.
 func (g *Garbler) garbleFree(gate circuit.Gate) error {
 	a, err := g.ZeroLabel(gate.A)
 	if err != nil {
@@ -417,73 +309,11 @@ func (g *Garbler) garbleFree(gate circuit.Gate) error {
 	case circuit.INV:
 		return g.setLabel(gate.Out, a.XOR(g.R))
 	default:
-		return fmt.Errorf("gc: cannot batch-garble op %v", gate.Op)
+		return fmt.Errorf("gc: cannot garble op %v", gate.Op)
 	}
 }
 
-// EvaluateBatch evaluates one level of mutually independent gates, the
-// mirror of GarbleBatch: the i-th AND gate consumes the TableSize bytes
-// at table[i*TableSize:] under tweaks derived from gidBase+i. The same
-// independence and Grow preconditions apply.
-func (e *Evaluator) EvaluateBatch(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	if len(table) != len(ands)*TableSize {
-		return fmt.Errorf("gc: evaluate batch table is %d bytes, want %d", len(table), len(ands)*TableSize)
-	}
-	return pool.run(len(ands), len(frees), func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Gather evalUnits AND gates per multi-lane hash flush, the mirror
-		// of the GarbleBatch gathering.
-		var us [evalUnits]evalUnit
-		var outs [evalUnits]Label
-		var outw [evalUnits]uint32
-		nu := 0
-		flush := func() error {
-			evalANDWide(h, &us, nu)
-			for k := 0; k < nu; k++ {
-				if err := e.setBatchLabel(outw[k], outs[k]); err != nil {
-					return err
-				}
-			}
-			nu = 0
-			return nil
-		}
-		for i := andLo; i < andHi; i++ {
-			gate := ands[i]
-			a, err := e.Label(gate.A)
-			if err != nil {
-				return err
-			}
-			b, err := e.Label(gate.B)
-			if err != nil {
-				return err
-			}
-			gid := gidBase + uint64(i)
-			us[nu] = evalUnit{
-				a: a, b: b,
-				j0: 2 * gid, j1: 2*gid + 1,
-				tab: table[i*TableSize : (i+1)*TableSize],
-				out: &outs[nu],
-			}
-			outw[nu] = gate.Out
-			nu++
-			if nu == evalUnits {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := e.evalFree(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (e *Evaluator) setBatchLabel(w uint32, l Label) error {
+func (e *Evaluator) setLabel(w uint32, l Label) error {
 	if uint32(len(e.labels)) <= w {
 		return fmt.Errorf("gc: evaluator label storage not grown past wire %d", w)
 	}
@@ -506,7 +336,7 @@ func (e *Evaluator) evalAND(h *Hasher, gate circuit.Gate, gid uint64, tab []byte
 	var out Label
 	us[0] = evalUnit{a: a, b: b, j0: 2 * gid, j1: 2*gid + 1, tab: tab, out: &out}
 	evalANDWide(h, &us, 1)
-	return e.setBatchLabel(gate.Out, out)
+	return e.setLabel(gate.Out, out)
 }
 
 // evalUnit is one staged AND gate-instance on the evaluate side: the two
@@ -548,7 +378,8 @@ func evalANDWide(h *Hasher, us *[evalUnits]evalUnit, n int) {
 	}
 }
 
-// evalFree handles the tableless gates (XOR, INV) in batch mode.
+// evalFree handles the tableless gates (XOR, INV) for the scalar Eval
+// oracle.
 func (e *Evaluator) evalFree(gate circuit.Gate) error {
 	a, err := e.Label(gate.A)
 	if err != nil {
@@ -560,12 +391,12 @@ func (e *Evaluator) evalFree(gate circuit.Gate) error {
 		if err != nil {
 			return err
 		}
-		return e.setBatchLabel(gate.Out, a.XOR(b))
+		return e.setLabel(gate.Out, a.XOR(b))
 	case circuit.INV:
 		// Free inversion: the label carries through; only the garbler's
 		// semantics map flips.
-		return e.setBatchLabel(gate.Out, a)
+		return e.setLabel(gate.Out, a)
 	default:
-		return fmt.Errorf("gc: cannot batch-evaluate op %v", gate.Op)
+		return fmt.Errorf("gc: cannot evaluate op %v", gate.Op)
 	}
 }

@@ -56,26 +56,22 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-// independentLevel builds a batch of mutually independent gates over
-// pre-assigned input wires: nAND AND gates followed by free gates, with
-// disjoint output wires.
-func independentLevel(t *testing.T, g *Garbler, rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
-	t.Helper()
-	nIn := uint32(16)
-	for w := uint32(2); w < 2+nIn; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := 2 + nIn
-	in := func() uint32 { return 2 + uint32(rng.Intn(int(nIn))) }
+// levelInputs is how many pre-assigned input wires (2, 3, …) an
+// independentLevel draws its gate operands from.
+const levelInputs = 16
+
+// independentLevel builds one level of mutually independent gates over
+// the input wires [2, 2+levelInputs): nAND AND gates followed by free
+// gates, with disjoint output wires. maxWire bounds every wire id used.
+func independentLevel(rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
+	next := uint32(2 + levelInputs)
+	in := func() uint32 { return 2 + uint32(rng.Intn(levelInputs)) }
 	for i := 0; i < nAND; i++ {
 		ands = append(ands, circuit.Gate{Op: circuit.AND, A: in(), B: in(), Out: next})
 		next++
 	}
 	for i := 0; i < nFree; i++ {
-		op := circuit.XOR
-		gate := circuit.Gate{Op: op, A: in(), B: in(), Out: next}
+		gate := circuit.Gate{Op: circuit.XOR, A: in(), B: in(), Out: next}
 		if rng.Intn(3) == 0 {
 			gate = circuit.Gate{Op: circuit.INV, A: in(), Out: next}
 		}
@@ -85,52 +81,65 @@ func independentLevel(t *testing.T, g *Garbler, rng *rand.Rand, nAND, nFree int)
 	return ands, frees, next
 }
 
-// TestBatchMatchesSequential pins the batch path to the per-gate path:
-// for one level of independent gates, GarbleBatch with any worker count
-// must produce byte-identical tables and the same output labels as the
-// internal-counter Garble loop, and EvaluateBatch must decode them.
+// assignLevelInputs draws the zero-labels of an independentLevel's
+// input wires on a B-sample level garbler.
+func assignLevelInputs(t testing.TB, g *BatchGarbler) {
+	t.Helper()
+	for w := uint32(2); w < 2+levelInputs; w++ {
+		if err := g.AssignInput(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchMatchesSequential pins the level kernel to the scalar oracle:
+// for one level of independent gates, a B=1 GarbleLevel with any worker
+// count must draw its delta, constant labels and input labels from the
+// rng exactly as NewGarbler/AssignInput do, produce byte-identical tables
+// and the same zero-label on every wire as the per-gate Garble loop, and
+// send the same const-label payload. EvaluateLevel and the per-gate Eval
+// must then both decode those tables to the plaintext semantics.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(31))
+		ands, frees, maxWire := independentLevel(rng, 200, 100)
 		gSeq, err := NewGarbler(rand.New(rand.NewSource(32)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gBatch, err := NewGarbler(rand.New(rand.NewSource(32)))
+		gLv, err := NewBatchGarbler(rand.New(rand.NewSource(32)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ands, frees, maxWire := independentLevel(t, gSeq, rng, 200, 100)
-		rng2 := rand.New(rand.NewSource(31))
-		ands2, frees2, _ := independentLevel(t, gBatch, rng2, 200, 100)
-		_ = ands2
-		_ = frees2
+		gLv.Grow(maxWire)
+		for w := uint32(2); w < 2+levelInputs; w++ {
+			if _, err := gSeq.AssignInput(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assignLevelInputs(t, gLv)
 
-		// Sequential: ANDs first, then frees, matching batch order.
+		// Sequential: ANDs first, then frees, matching level order.
 		var seqTables []byte
-		for _, gate := range ands {
+		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
 			if seqTables, err = gSeq.Garble(gate, seqTables); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, gate := range frees {
-			if seqTables, err = gSeq.Garble(gate, seqTables); err != nil {
-				t.Fatal(err)
-			}
-		}
-
 		pool := NewPool(workers)
-		gBatch.Grow(maxWire)
-		batchTables := make([]byte, len(ands)*TableSize)
-		if err := gBatch.GarbleBatch(ands, frees, 0, batchTables, pool); err != nil {
+		lvTables := make([]byte, len(ands)*TableSize)
+		if err := gLv.GarbleLevel(ands, frees, 0, lvTables, pool); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(seqTables, batchTables) {
-			t.Fatalf("workers=%d: batch tables differ from sequential garbling", workers)
+		if !bytes.Equal(seqTables, lvTables) {
+			t.Fatalf("workers=%d: level tables differ from sequential garbling", workers)
+		}
+		if gSeq.R != gLv.R[0] {
+			t.Fatalf("workers=%d: B=1 delta differs from the scalar garbler's", workers)
 		}
 		for w := uint32(0); w < maxWire; w++ {
 			ls, err1 := gSeq.ZeroLabel(w)
-			lb, err2 := gBatch.ZeroLabel(w)
+			lb, err2 := gLv.ZeroLabel(w, 0)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("workers=%d: wire %d presence differs", workers, w)
 			}
@@ -138,25 +147,50 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: wire %d label differs", workers, w)
 			}
 		}
-
-		// Evaluate the batch tables with the batch evaluator and check
-		// against the garbler's semantics on random plaintext inputs.
-		ev := NewEvaluator()
-		ev.Grow(maxWire)
-		bits := make(map[uint32]bool)
-		ev.SetLabel(circuit.WFalse, mustActive(t, gBatch, circuit.WFalse, false))
-		ev.SetLabel(circuit.WTrue, mustActive(t, gBatch, circuit.WTrue, true))
-		bits[circuit.WFalse] = false
-		bits[circuit.WTrue] = true
-		for w := uint32(2); w < 18; w++ {
-			bit := rng.Intn(2) == 1
-			bits[w] = bit
-			ev.SetLabel(w, mustActive(t, gBatch, w, bit))
+		if gLv.ANDGates != gSeq.ANDGates || gLv.FreeGates != gSeq.FreeGates {
+			t.Fatalf("workers=%d: gate counters %d/%d, scalar %d/%d", workers,
+				gLv.ANDGates, gLv.FreeGates, gSeq.ANDGates, gSeq.FreeGates)
 		}
-		if err := ev.EvaluateBatch(ands, frees, 0, batchTables, pool); err != nil {
+		lf, lt, err := gSeq.ConstLabels()
+		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(gate circuit.Gate) {
+		payload, err := gLv.AppendConstLabels(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(append([]byte{}, lf[:]...), lt[:]...); !bytes.Equal(payload, want) {
+			t.Fatalf("workers=%d: B=1 const-label payload differs from the scalar garbler's", workers)
+		}
+
+		// Evaluate with both the level kernel and the per-gate oracle on
+		// random plaintext inputs and check every gate's active label.
+		evLv, err := NewBatchEvaluator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evLv.Grow(maxWire)
+		evSeq := NewEvaluator()
+		bits := make(map[uint32]bool)
+		set := func(w uint32, bit bool) {
+			l := mustActive(t, gSeq, w, bit)
+			evLv.SetLabel(w, 0, l)
+			evSeq.SetLabel(w, l)
+			bits[w] = bit
+		}
+		set(circuit.WFalse, false)
+		set(circuit.WTrue, true)
+		for w := uint32(2); w < 2+levelInputs; w++ {
+			set(w, rng.Intn(2) == 1)
+		}
+		if err := evLv.EvaluateLevel(ands, frees, 0, lvTables, pool); err != nil {
+			t.Fatal(err)
+		}
+		rest := seqTables
+		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
+			if rest, err = evSeq.Eval(gate, rest); err != nil {
+				t.Fatal(err)
+			}
 			var want bool
 			switch gate.Op {
 			case circuit.AND:
@@ -166,20 +200,22 @@ func TestBatchMatchesSequential(t *testing.T) {
 			case circuit.INV:
 				want = !bits[gate.A]
 			}
-			got, err := ev.Label(gate.Out)
+			wl := mustActive(t, gSeq, gate.Out, want)
+			gotLv, err := evLv.Label(gate.Out, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wl := mustActive(t, gBatch, gate.Out, want); got != wl {
+			gotSeq, err := evSeq.Label(gate.Out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotLv != wl || gotSeq != wl {
 				t.Fatalf("workers=%d: gate %+v evaluated to wrong label", workers, gate)
 			}
 			bits[gate.Out] = want
 		}
-		for _, gate := range ands {
-			check(gate)
-		}
-		for _, gate := range frees {
-			check(gate)
+		if len(rest) != 0 {
+			t.Fatalf("workers=%d: per-gate evaluation left %d table bytes", workers, len(rest))
 		}
 	}
 }
@@ -193,26 +229,45 @@ func mustActive(t *testing.T, g *Garbler, w uint32, bit bool) Label {
 	return l
 }
 
-// TestBatchErrors covers the batch preconditions.
+// TestBatchErrors covers the level-kernel preconditions.
 func TestBatchErrors(t *testing.T) {
-	g, err := NewGarbler(rand.New(rand.NewSource(41)))
+	if _, err := NewBatchGarbler(rand.New(rand.NewSource(41)), 0); err == nil {
+		t.Fatal("zero-sample garbler accepted")
+	}
+	if _, err := NewBatchEvaluator(0); err == nil {
+		t.Fatal("zero-sample evaluator accepted")
+	}
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(41)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := NewPool(2)
 	and := []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 4}}
-	if err := g.GarbleBatch(and, nil, 0, make([]byte, 1), pool); err == nil {
+	if err := g.GarbleLevel(and, nil, 0, make([]byte, 1), pool); err == nil {
 		t.Fatal("short table accepted")
 	}
 	// Unassigned input wires must fail, not garble garbage.
 	g.Grow(8)
-	if err := g.GarbleBatch(and, nil, 0, make([]byte, TableSize), pool); err == nil {
+	if err := g.GarbleLevel(and, nil, 0, make([]byte, TableSize), pool); err == nil {
 		t.Fatal("garbling over missing labels accepted")
 	}
-	e := NewEvaluator()
+	// Output wires past the grown storage must fail, not grow under the
+	// workers' feet.
+	assignLevelInputs(t, g)
+	wide := []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 99}}
+	if err := g.GarbleLevel(wide, nil, 0, make([]byte, TableSize), pool); err == nil {
+		t.Fatal("garbling past the grown label storage accepted")
+	}
+	e, err := NewBatchEvaluator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.Grow(8)
-	if err := e.EvaluateBatch(and, nil, 0, make([]byte, 1), pool); err == nil {
+	if err := e.EvaluateLevel(and, nil, 0, make([]byte, 1), pool); err == nil {
 		t.Fatal("short table accepted by evaluator")
+	}
+	if err := e.EvaluateLevel(and, nil, 0, make([]byte, TableSize), pool); err == nil {
+		t.Fatal("evaluating over missing labels accepted")
 	}
 }
 
@@ -229,7 +284,7 @@ func BenchmarkGarbleGate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	g.Grow(16)
+	g.ensure(16)
 	h := NewHasher()
 	gate := circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 9}
 	dst := make([]byte, TableSize)
@@ -269,43 +324,5 @@ func BenchmarkLabelIsZero(b *testing.B) {
 	}
 	if n != 0 {
 		b.Fatal("impossible")
-	}
-}
-
-// BenchmarkGarbleBatch measures level-batch garbling throughput across
-// worker counts (the tentpole's compute kernel).
-func BenchmarkGarbleBatch(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
-			g, err := NewGarbler(rand.New(rand.NewSource(53)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(54))
-			const nAND = 4096
-			nIn := uint32(64)
-			for w := uint32(2); w < 2+nIn; w++ {
-				if _, err := g.AssignInput(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ands := make([]circuit.Gate, nAND)
-			next := 2 + nIn
-			for i := range ands {
-				ands[i] = circuit.Gate{Op: circuit.AND,
-					A: 2 + uint32(rng.Intn(int(nIn))), B: 2 + uint32(rng.Intn(int(nIn))), Out: next}
-				next++
-			}
-			g.Grow(next)
-			pool := NewPool(workers)
-			table := make([]byte, nAND*TableSize)
-			b.SetBytes(int64(len(table)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := g.GarbleBatch(ands, nil, 0, table, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

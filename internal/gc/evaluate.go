@@ -47,7 +47,7 @@ func (e *Evaluator) Label(w uint32) (Label, error) {
 // streaming face of the engine: for AND gates it consumes TableSize
 // bytes from table and returns the remainder; XOR and INV gates consume
 // nothing. The cryptography itself lives in evalAND/evalFree (batch.go),
-// shared with the level-batch engine.
+// shared with the level kernel (vec.go).
 func (e *Evaluator) Eval(gate circuit.Gate, table []byte) ([]byte, error) {
 	e.ensure(gate.Out)
 	switch gate.Op {

@@ -99,7 +99,7 @@ func (g *Garbler) ConstLabels() (lFalse, lTrue Label, err error) {
 // half-gate ciphertexts (TableSize bytes) to table and returns the
 // extended slice; XOR and INV gates are free and return table unchanged.
 // The cryptography itself lives in garbleAND/garbleFree (batch.go),
-// shared with the level-batch engine.
+// shared with the level kernel (vec.go).
 func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
 	g.ensure(gate.Out)
 	switch gate.Op {

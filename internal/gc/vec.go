@@ -8,29 +8,30 @@ import (
 	"deepsecure/internal/circuit"
 )
 
-// This file is the vectorized (batched-inference) face of the GC engine:
-// one garbling state covering B independent sample instances of the same
-// circuit. Labels are stored structure-of-arrays — B contiguous labels
-// per wire slot, sample s of wire w at labels[w*B+s] — so the level
-// engines walk the gate schedule ONCE per level and iterate samples
-// innermost: one tweak derivation, one gate decode, and one bounds check
-// per gate for all B samples, with the B label loads/stores on adjacent
-// cache lines. Every sample has its own fresh Free-XOR delta and fresh
-// wire labels (drawn from the same rng stream a single inference would
-// use), so the transcript of each sample is exactly the transcript a
-// lone inference would produce under the same randomness — batching
-// amortizes the schedule walk, not the cryptography — and B=1 is
-// byte-identical to the single-inference path (pinned by tests here and
-// by the core package's conformance suite).
+// This file is the level kernel every session engine runs: one garbling
+// state covering B independent sample instances of the same circuit (a
+// single inference is B=1). Labels are stored structure-of-arrays — B
+// contiguous labels per wire slot, sample s of wire w at labels[w*B+s] —
+// so the level engines walk the gate schedule ONCE per level and iterate
+// samples innermost: one tweak derivation, one gate decode, and one
+// bounds check per gate for all B samples, with the B label loads/stores
+// on adjacent cache lines. Every sample has its own fresh Free-XOR delta
+// and fresh wire labels (drawn from the same rng stream a single
+// inference would use), so the transcript of each sample is exactly the
+// transcript a lone inference would produce under the same randomness —
+// batching amortizes the schedule walk, not the cryptography — and B=1
+// is byte-identical to the scalar Garble/Eval oracle (pinned by
+// TestBatchMatchesSequential here and by the core package's conformance
+// suite).
 //
 // The garbled tables of a level are likewise interleaved gate-major with
 // samples innermost: AND gate rank i, sample s writes its two
 // ciphertexts at (i*B+s)*TableSize. Both parties derive the layout from
 // the schedule and B alone.
 
-// BatchGarbler is the garbling state for one batched inference of B
-// independent samples. It is the vectorized counterpart of Garbler; the
-// two share the half-gates cryptography (garbleANDWide).
+// BatchGarbler is the garbling state for one inference sub-stream of B
+// independent samples. It shares the half-gates cryptography
+// (garbleANDWide) with the scalar Garbler oracle.
 type BatchGarbler struct {
 	// R holds the per-sample Free-XOR deltas (len B): samples are
 	// cryptographically independent instances, exactly as if each ran its
@@ -89,8 +90,9 @@ func (g *BatchGarbler) ensure(w uint32) {
 }
 
 // Grow pre-sizes label storage for wires [0, n) in one exact-size
-// allocation; like the single-path Grow, level batches never grow
-// storage themselves (growth would race between workers).
+// allocation. Level calls never grow storage themselves (growth would
+// race between workers), so the engine must Grow to the schedule's
+// namespace once per inference.
 func (g *BatchGarbler) Grow(n uint32) {
 	if uint32(len(g.have)) >= n {
 		return
@@ -180,8 +182,10 @@ func (g *BatchGarbler) Drop(w uint32) {
 // sample, computed once — and sample s writes its ciphertexts at
 // table[(i*B+s)*TableSize:]; table must hold len(ands)*B*TableSize
 // bytes. Gates are striped over pool's workers with the batch size as
-// the work multiplier; the level-independence and Grow preconditions of
-// GarbleBatch apply unchanged.
+// the work multiplier. The caller must guarantee level independence
+// (distinct output wires, no gate reading a wire another gate in the
+// level writes) — which circuit.NewSchedule establishes — and must have
+// Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	b := g.b
 	if len(table) != len(ands)*b*TableSize {
@@ -307,7 +311,7 @@ func xorLabels(dst, a, b []Label) {
 	}
 }
 
-// BatchEvaluator is the evaluation state for one batched inference: the
+// BatchEvaluator is the evaluation state for one inference sub-stream: the
 // B active labels per live wire, stored wire-major like BatchGarbler's.
 type BatchEvaluator struct {
 	b      int

@@ -95,8 +95,9 @@ func vecTestLevels() []vecTestLevel {
 	}
 }
 
-// TestBatchGarblerB1MatchesSingle pins the vectorized path's B=1 output
-// to the single-inference Garbler: same seed, same schedule, identical
+// TestBatchGarblerB1MatchesSingle pins the level kernel's B=1 output to
+// the single-inference Garbler across a multi-level schedule: same seed,
+// ANDs then frees per level through the per-gate Garble loop, identical
 // table bytes and identical zero-labels on every wire. This is the
 // gc-level half of the batched-protocol conformance chain (the core
 // package pins the full wire stream).
@@ -108,7 +109,6 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Grow(10)
 	bg, err := NewBatchGarbler(rand.New(rand.NewSource(seed)), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -125,11 +125,13 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 
 	pool := NewPool(1)
 	for li, lv := range levels {
-		single := make([]byte, len(lv.ands)*TableSize)
-		batched := make([]byte, len(lv.ands)*TableSize)
-		if err := g.GarbleBatch(lv.ands, lv.frees, lv.gidBase, single, pool); err != nil {
-			t.Fatalf("level %d single: %v", li, err)
+		var single []byte
+		for _, gate := range append(append([]circuit.Gate{}, lv.ands...), lv.frees...) {
+			if single, err = g.Garble(gate, single); err != nil {
+				t.Fatalf("level %d single: %v", li, err)
+			}
 		}
+		batched := make([]byte, len(lv.ands)*TableSize)
 		if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, batched, pool); err != nil {
 			t.Fatalf("level %d batched: %v", li, err)
 		}
