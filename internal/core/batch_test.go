@@ -14,7 +14,7 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// batchSessionRun records a full v5 session that classifies xs as ONE
+// batchSessionRun records a full session that classifies xs as ONE
 // fused batched inference (Client/Server API) over a logging pipe.
 func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
 	t.Helper()
@@ -44,16 +44,13 @@ func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, c
 	return labels, gToE.bytesWritten(), eToG.bytesWritten(), srvStats
 }
 
-// TestBatchSize1Conformance pins the v5 acceptance criterion: a batch
-// of ONE sample produces frame contents byte-identical to the
-// single-inference (v4-style) sub-stream modulo framing — same labels,
-// same tables, same OT exchanges — with the OT pool on and off. Both
-// streams are reduced by dropping session framing and stripping tags
-// (stripV4 handles the MsgInfer* and MsgBatch* variants uniformly) and
-// must then match byte-for-byte in both directions. Chained with
-// TestPipelineDepth1Conformance, which pins the single sub-stream to
-// the serial v3 reference, this anchors the batched protocol all the
-// way back to the raw building blocks.
+// TestBatchSize1Conformance pins the v8 framing: a single inference is a
+// batch of one, so Infer(x) and InferBatch([x]) from equal seeds put
+// byte-identical raw transcripts on the wire in both directions — same
+// frames, same tags, same labels, tables and OT exchanges — with the OT
+// pool on and off. Chained with TestPipelineDepth1Conformance, which pins
+// the single inference to the serial v3 reference, this anchors the
+// batched protocol all the way back to the raw building blocks.
 func TestBatchSize1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -72,27 +69,11 @@ func TestBatchSize1Conformance(t *testing.T) {
 			if batchLabels[0] != singleLabels[0] {
 				t.Fatalf("B=1 batch classified %d, single inference %d", batchLabels[0], singleLabels[0])
 			}
-			for _, dir := range []struct {
-				name          string
-				batch, single []byte
-			}{
-				{"garbler→evaluator", btG2E, sgG2E},
-				{"evaluator→garbler", btE2G, sgE2G},
-			} {
-				got := stripV4(t, parseFrames(t, dir.batch))
-				want := stripV4(t, parseFrames(t, dir.single))
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d content frames, single-inference run has %d", dir.name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].typ != want[i].typ {
-						t.Fatalf("%s frame %d: type %v, single-inference run %v", dir.name, i, got[i].typ, want[i].typ)
-					}
-					if !bytes.Equal(got[i].payload, want[i].payload) {
-						t.Fatalf("%s frame %d (%v): payload differs from the single-inference run (%d vs %d bytes)",
-							dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
-					}
-				}
+			if !bytes.Equal(btG2E, sgG2E) {
+				t.Fatalf("garbler→evaluator: B=1 batch transcript (%d bytes) differs from the single inference's (%d bytes)", len(btG2E), len(sgG2E))
+			}
+			if !bytes.Equal(btE2G, sgE2G) {
+				t.Fatalf("evaluator→garbler: B=1 batch transcript (%d bytes) differs from the single inference's (%d bytes)", len(btE2G), len(sgE2G))
 			}
 		})
 	}

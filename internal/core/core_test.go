@@ -112,63 +112,12 @@ func TestSecureInferenceCommMatchesGateCount(t *testing.T) {
 	}
 }
 
-func TestOutsourcedInference(t *testing.T) {
-	f := fixed.Default
-	net := testNet(t, act.ReLU, 6)
-
-	cpConn, pcConn, closer1 := transport.Pipe() // client ↔ proxy
-	defer closer1.Close()
-	csConn, scConn, closer2 := transport.Pipe() // client ↔ server
-	defer closer2.Close()
-	psConn, spConn, closer3 := transport.Pipe() // proxy ↔ server
-	defer closer3.Close()
-
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(201))}
-	prx := &Proxy{Rng: rand.New(rand.NewSource(202))}
-
-	var wg sync.WaitGroup
-	var srvErr, prxErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		srvErr = srv.ServeOutsourced(spConn, scConn)
-	}()
-	go func() {
-		defer wg.Done()
-		prxErr = prx.Run(pcConn, psConn)
-	}()
-
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	cli := &Client{Rng: rand.New(rand.NewSource(203))}
-	label, st, err := cli.InferOutsourced(cpConn, csConn, x)
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
-	}
-	if prxErr != nil {
-		t.Fatalf("proxy: %v", prxErr)
-	}
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if want := net.PredictFixed(f, x); label != want {
-		t.Fatalf("outsourced label %d, want %d", label, want)
-	}
-	// The constrained client's traffic must be tiny: shares out, two bit
-	// vectors in — no garbled tables.
-	if st.BytesSent > 1000 || st.BytesReceived > 1000 {
-		t.Errorf("outsourced client traffic too high: %+v", st)
-	}
-}
-
 func TestBadHelloRejected(t *testing.T) {
 	// deepsecure/6 built the pre-Baugh–Wooley multiplier: a different
 	// circuit, so it must be refused at hello like any unknown protocol.
-	for _, hello := range []string{"bogus/9", "deepsecure/6"} {
+	// deepsecure/7 still had separate single-inference frames, and its
+	// frame codes differ from v8's.
+	for _, hello := range []string{"bogus/9", "deepsecure/6", "deepsecure/7"} {
 		cConn, sConn, closer := transport.Pipe()
 		defer closer.Close()
 		net := testNet(t, act.ReLU, 8)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -107,12 +106,10 @@ func TestInferenceDeadlineCutsStalledClient(t *testing.T) {
 	}
 	// Begin inference 1 and send only its const labels: the evaluator now
 	// waits for garbler-input frames that never come.
-	var begin [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(begin[:], 1)
-	if err := cConn.Send(transport.MsgInferBegin, begin[:n]); err != nil {
+	if err := cConn.Send(transport.MsgBatchBegin, beginPayload(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cConn.SendTagged(transport.MsgInferConst, 1, make([]byte, 2*gc.LabelSize)); err != nil {
+	if err := cConn.SendTagged(transport.MsgBatchConst, 1, make([]byte, 2*gc.LabelSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cConn.Flush(); err != nil {

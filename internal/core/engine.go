@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -35,9 +36,9 @@ import (
 // the tape recorded them; an input step's OT exchange covers all B
 // samples at once, and a level's tables interleave gate-major with
 // samples innermost (gate rank i, sample s at (i*B+s)*TableSize). At B=1
-// that layout is the plain per-gate stream, so a single inference's
-// frame contents do not depend on whether it was framed as MsgInfer* or
-// as a batch of one (pinned by TestBatchSize1Conformance).
+// that layout is the plain per-gate stream. The same engine pair also
+// runs the §3.3 outsourced deployment (outsourced.go) at B=1 over its
+// own compiled program.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
@@ -191,6 +192,11 @@ func (c EngineConfig) maxBatch() int {
 // what a server announces and enforces.
 func (c EngineConfig) MaxBatchSize() int { return c.maxBatch() }
 
+// tableChunk is the default garbled-table flush threshold: tables stream
+// to the evaluator in frames of roughly this size so neither party ever
+// holds a whole netlist's tables in memory (§3.5).
+const tableChunk = 1 << 20
+
 func (c EngineConfig) chunkBytes() int {
 	if c.ChunkBytes > 0 {
 		return c.ChunkBytes
@@ -253,6 +259,23 @@ func startTableWriter(conn transport.FrameConn, free chan []byte) *tableWriter {
 func (w *tableWriter) finish() error {
 	close(w.ch)
 	return <-w.done
+}
+
+// sendConstLabels draws a fresh batch garbler for b samples — its own
+// Free-XOR delta and wire labels per sample — and sends the sub-stream's
+// const-label frame (the b false-labels, then the b true-labels),
+// appended to buf. It returns the garbler and the sent payload, whose
+// buffer the caller may reuse.
+func sendConstLabels(conn transport.FrameConn, rng io.Reader, b int, buf []byte) (*gc.BatchGarbler, []byte, error) {
+	g, err := gc.NewBatchGarbler(rng, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, err := g.AppendConstLabels(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, payload, conn.Send(transport.MsgConstLabels, payload)
 }
 
 // batchGarbleEngine runs the garbler's side of one inference sub-stream
@@ -507,6 +530,31 @@ func speculativeIssue(ots *precomp.ReceiverPool, seq *precomp.Sequencer, turn in
 		seq.Release(turn)
 	}
 	return prs, nil
+}
+
+// recvBatchEvaluator receives a sub-stream's const-label frame — the b
+// false-labels, then the b true-labels — and returns a batch evaluator
+// for b samples with the constant wires set.
+func recvBatchEvaluator(conn transport.FrameConn, b int) (*gc.BatchEvaluator, error) {
+	constLabels, err := conn.Recv(transport.MsgConstLabels)
+	if err != nil {
+		return nil, err
+	}
+	if len(constLabels) != 2*b*gc.LabelSize {
+		return nil, fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*b*gc.LabelSize)
+	}
+	e, err := gc.NewBatchEvaluator(b)
+	if err != nil {
+		return nil, err
+	}
+	for s := 0; s < b; s++ {
+		var lf, lt gc.Label
+		copy(lf[:], constLabels[s*gc.LabelSize:])
+		copy(lt[:], constLabels[(b+s)*gc.LabelSize:])
+		e.SetLabel(circuit.WFalse, s, lf)
+		e.SetLabel(circuit.WTrue, s, lt)
+	}
+	return e, nil
 }
 
 // batchEvalEngine runs the evaluator's side of one inference sub-stream

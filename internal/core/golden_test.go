@@ -21,8 +21,8 @@ import (
 // Regenerate only for a deliberate protocol change (and bump
 // protocolHello with it).
 const (
-	goldenG2E = "a6635247bca54be2df5ded3be5c02c04d3c10a13b6c5542df5435150d6440505"
-	goldenE2G = "e0cd979767fddfa9c5fb174996d8d07c6f63145aae5b966b23d2902bac02f28f"
+	goldenG2E = "76ceb7ac3eac1af266d8c66e745eaa5e4f2b6eee42958abcac4efa74d4ba98ce"
+	goldenE2G = "c6eb163974d3ef118986a24cab6b32ff8f5a6138e5fc126bde32bd8ec841c431"
 )
 
 // TestWireTranscriptGolden records one fixed-seed connection carrying two

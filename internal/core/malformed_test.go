@@ -18,8 +18,8 @@ import (
 )
 
 // TestServerRejectsMalformedFrames drives the server's evaluation engine
-// with hand-built sub-streams — a single MsgInferBegin inference and a
-// B=2 MsgBatchBegin batch — that go wrong in one place each: a const
+// with hand-built sub-streams — a single inference (a MsgBatchBegin of
+// one) and a B=2 batch — that go wrong in one place each: a const
 // frame of the wrong length, an input-label frame of the wrong length, a
 // table frame that overruns its level run, and a stream cut before the
 // run is complete. Every case must end the session with an error (not a
@@ -41,12 +41,11 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		cut
 	)
 	kinds := []struct {
-		name    string
-		b       int
-		batched bool
+		name string
+		b    int
 	}{
-		{"infer", 1, false},
-		{"batch2", 2, true},
+		{"infer", 1},
+		{"batch2", 2},
 	}
 	cases := []struct {
 		name  string
@@ -81,30 +80,24 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				// The hand-built garbler runs on its own goroutine: once
 				// the server gives up, its sends may never be drained.
 				const id = 1
-				inferT, constT, inputsT, tablesT := transport.MsgInferBegin, transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferTables
-				begin := transport.AppendTag(nil, id)
-				if k.batched {
-					inferT, constT, inputsT, tablesT = transport.MsgBatchBegin, transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables
-					begin = transport.AppendTag(begin, uint64(k.b))
-				}
 				rng := rand.New(rand.NewSource(99))
 				cliDone := make(chan struct{})
 				go func() {
 					defer close(cliDone)
 					send := func(typ transport.MsgType, payload []byte) bool {
-						if typ == inferT {
+						if typ == transport.MsgBatchBegin {
 							return cConn.Send(typ, payload) == nil
 						}
 						return cConn.SendTagged(typ, id, payload) == nil
 					}
-					if !send(inferT, begin) {
+					if !send(transport.MsgBatchBegin, beginPayload(id, k.b)) {
 						return
 					}
 					constLen := 2 * k.b * gc.LabelSize
 					if tc.fault == badConst {
 						constLen += gc.LabelSize
 					}
-					if !send(constT, make([]byte, constLen)) {
+					if !send(transport.MsgBatchConst, make([]byte, constLen)) {
 						return
 					}
 				walk:
@@ -116,7 +109,7 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 							if tc.fault == badInputs {
 								n -= gc.LabelSize
 							}
-							if !send(inputsT, make([]byte, n)) {
+							if !send(transport.MsgBatchInputs, make([]byte, n)) {
 								return
 							}
 							if tc.fault == badInputs {
@@ -137,9 +130,9 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 							run := st.TableBytes * k.b
 							switch tc.fault {
 							case overrun:
-								send(tablesT, make([]byte, run+gc.TableSize))
+								send(transport.MsgBatchTables, make([]byte, run+gc.TableSize))
 							case cut:
-								send(tablesT, make([]byte, run/2))
+								send(transport.MsgBatchTables, make([]byte, run/2))
 								cConn.Flush() //nolint:errcheck — the pipe is closed next
 								closer.Close()
 								return

@@ -15,9 +15,9 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the server side of cross-inference pipelining (protocol
-// v4): one reader goroutine demultiplexes the connection's tagged frames
-// into per-inference evaluation contexts, so the server can evaluate
+// This file is the server side of cross-inference pipelining: one
+// reader goroutine demultiplexes the connection's tagged frames into
+// per-inference evaluation contexts, so the server can evaluate
 // inference k while the client is already streaming inference k+1 —
 // hiding the output-label round-trip and the evaluation tail that
 // previously serialized consecutive inferences. The pieces:
@@ -133,8 +133,8 @@ func recvRouted(flush func() error, ch <-chan frame, stop <-chan struct{}, scope
 
 // evalCtx is one in-flight inference on the server: its routed frame
 // inbox and its death marker (closed when the context goroutine exits,
-// so the reader stops routing to it). batch is the fused sample count
-// of a batched (MsgBatchBegin) sub-stream, 0 for a single inference.
+// so the reader stops routing to it). batch is the sub-stream's sample
+// count (1 for a single inference).
 type evalCtx struct {
 	id    uint64
 	batch int
@@ -147,14 +147,6 @@ type evalCtx struct {
 	deadline *time.Timer
 }
 
-// samples returns how many inferences this context settles.
-func (c *evalCtx) samples() int64 {
-	if c.batch > 0 {
-		return int64(c.batch)
-	}
-	return 1
-}
-
 // ctxConn is an evalCtx's view of the session connection: receives come
 // from the context's routed inbox, sends are tagged with the inference
 // id and serialized through the muxConn.
@@ -165,11 +157,7 @@ type ctxConn struct {
 
 func (v *ctxConn) Send(t transport.MsgType, payload []byte) error {
 	if t == transport.MsgOutputLabels {
-		out := transport.MsgInferOutputs
-		if v.c.batch > 0 {
-			out = transport.MsgBatchOutputs
-		}
-		return v.m.mc.sendTagged(out, v.c.id, payload)
+		return v.m.mc.sendTagged(transport.MsgBatchOutputs, v.c.id, payload)
 	}
 	return v.m.mc.Send(t, payload)
 }
@@ -186,17 +174,17 @@ func (v *ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte,
 }
 
 // muxEvent is a completion notification to the session's main loop.
-// inferences is the settled sample count of a finished context (B for a
-// batch, 1 for a single inference), counted only on success.
+// inferences is the settled sample count of a finished context, counted
+// only on success.
 type muxEvent struct {
 	readerDone bool
 	inferences int64
 	err        error
 }
 
-// sessionMux runs one demultiplexed v4/v5 session on the server:
-// single-inference (MsgInfer*) and batched (MsgBatch*) sub-streams
-// share the window, the routing, and the OT order.
+// sessionMux runs one demultiplexed session on the server: every
+// inference sub-stream, single or batched, shares the window, the
+// routing, and the OT order.
 type sessionMux struct {
 	srv   *Server
 	conn  *transport.Conn
@@ -404,13 +392,6 @@ func (m *sessionMux) readLoop() {
 		switch typ {
 		case transport.MsgEndSession:
 			end = true
-		case transport.MsgInferBegin:
-			id, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) {
-				err = fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
-				break
-			}
-			err = m.beginCtx(id, 0)
 		case transport.MsgBatchBegin:
 			id, n := binary.Uvarint(payload)
 			if n <= 0 {
@@ -427,8 +408,7 @@ func (m *sessionMux) readLoop() {
 				break
 			}
 			err = m.beginCtx(id, int(bsz))
-		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferTables,
-			transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables:
+		case transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables:
 			var id uint64
 			var content []byte
 			id, content, err = transport.SplitTag(payload)
@@ -441,11 +421,6 @@ func (m *sessionMux) readLoop() {
 			c := m.ctxs[id]
 			if c == nil {
 				err = fmt.Errorf("core: no context for in-window inference %d", id)
-				break
-			}
-			if batchFrame := typ == transport.MsgBatchConst || typ == transport.MsgBatchInputs ||
-				typ == transport.MsgBatchTables; batchFrame != (c.batch > 0) {
-				err = fmt.Errorf("core: %v frame for inference %d does not match its sub-stream kind", typ, id)
 				break
 			}
 			f := frame{logicalType(typ), content}
@@ -486,13 +461,13 @@ func (m *sessionMux) readLoop() {
 				err = fmt.Errorf("core: unsolicited %v frame", typ)
 			}
 		default:
-			err = fmt.Errorf("core: unexpected %v frame on a v5 session", typ)
+			err = fmt.Errorf("core: unexpected %v frame on a session", typ)
 		}
 	}
 }
 
-// beginCtx admits a new inference sub-stream (batch = 0 for a single
-// inference, the fused sample count otherwise) and spawns its context.
+// beginCtx admits a new inference sub-stream of batch samples and spawns
+// its context.
 func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	if err := m.win.Begin(id); err != nil {
 		return err
@@ -509,15 +484,15 @@ func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	return nil
 }
 
-// logicalType maps a tagged v4/v5 frame type to the logical protocol
-// type the engines were written against.
+// logicalType maps a tagged sub-stream frame type to the logical
+// protocol type the engines were written against.
 func logicalType(t transport.MsgType) transport.MsgType {
 	switch t {
-	case transport.MsgInferConst, transport.MsgBatchConst:
+	case transport.MsgBatchConst:
 		return transport.MsgConstLabels
-	case transport.MsgInferInputs, transport.MsgBatchInputs:
+	case transport.MsgBatchInputs:
 		return transport.MsgInputLabels
-	case transport.MsgInferTables, transport.MsgBatchTables:
+	case transport.MsgBatchTables:
 		return transport.MsgTables
 	default:
 		return t
@@ -633,13 +608,15 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 	m.endInFlight()
 	if err == nil {
 		obs.ObserveInference(time.Since(c.start))
-		obs.AddInferences(c.samples())
-		if c.batch > 0 {
+		obs.AddInferences(int64(c.batch))
+		// Only fused sub-streams count as batches: on the wire a single
+		// inference and a batch of one are the same thing.
+		if c.batch > 1 {
 			obs.IncBatches()
 		}
 	}
 	close(c.dead)
-	m.emit(muxEvent{err: err, inferences: c.samples()})
+	m.emit(muxEvent{err: err, inferences: int64(c.batch)})
 }
 
 // evalPanicHook, when set by a test, runs at the top of every
@@ -648,33 +625,15 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 var evalPanicHook func(id uint64, batch int)
 
 // serveInference is the per-context body: it runs the evaluation engine
-// over the context's routed frames with b = c.samples(), so a single
-// (MsgInfer*) sub-stream is evaluated as a batch of one.
+// over the context's routed frames for the sub-stream's c.batch samples.
 func (m *sessionMux) serveInference(c *evalCtx) error {
 	if evalPanicHook != nil {
 		evalPanicHook(c.id, c.batch)
 	}
 	view := &ctxConn{m: m, c: c}
-	constLabels, err := view.Recv(transport.MsgConstLabels)
+	e, err := recvBatchEvaluator(view, c.batch)
 	if err != nil {
 		return err
-	}
-	// Const labels arrive wire-major like every sub-stream frame: the b
-	// false-labels, then the b true-labels (b=1 for a single inference).
-	b := int(c.samples())
-	if len(constLabels) != 2*b*gc.LabelSize {
-		return fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*b*gc.LabelSize)
-	}
-	e, err := gc.NewBatchEvaluator(b)
-	if err != nil {
-		return err
-	}
-	for s := 0; s < b; s++ {
-		var lf, lt gc.Label
-		copy(lf[:], constLabels[s*gc.LabelSize:])
-		copy(lt[:], constLabels[(b+s)*gc.LabelSize:])
-		e.SetLabel(circuit.WFalse, s, lf)
-		e.SetLabel(circuit.WTrue, s, lt)
 	}
 	pool := m.getPool()
 	defer m.putPool(pool)
@@ -685,7 +644,7 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 		conn:      view,
 		ots:       m.otp,
 		cfg:       m.cfg,
-		b:         b,
+		b:         c.batch,
 		inputBits: m.weightBits,
 		seq:       m.seqr,
 		seqTurn:   int64(c.id),
@@ -703,8 +662,8 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	// schedule (every context walks it once per sample), kernel time from
 	// the engine's measurement. The registry observations reuse the same
 	// engine clocks that back Stats, so the two surfaces agree.
-	ands := m.sched.ANDs * c.samples()
-	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * c.samples()
+	ands := m.sched.ANDs * int64(c.batch)
+	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(c.batch)
 	m.statMu.Lock()
 	m.gateTime += en.gateTime
 	m.andGates += ands

@@ -5,9 +5,11 @@ import (
 	"io"
 	"time"
 
-	"deepsecure/internal/circuit"
+	"deepsecure/internal/gc"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
+	"deepsecure/internal/ot"
+	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/outsource"
 	"deepsecure/internal/transport"
 )
@@ -24,6 +26,16 @@ import (
 // the output labels at the main server; each forwards only its half (the
 // point-and-permute bit vector) to the client, who XORs them — so neither
 // server learns the inference result either.
+//
+// Between the proxy and the server this is one garbled execution of the
+// compiled outsourced program (netgen.Options{Outsourced: true}) on the
+// session engines at one sample: after the hello and architecture, the
+// OT-extension base phase and the server's in-band pool announcement
+// (always "off": the evaluator's inputs go by direct IKNP), then the
+// const labels, input labels, OT exchanges and table stream the engines
+// produce. The server evaluates with Server.Engine's worker settings and
+// the proxy garbles with the default EngineConfig. Neither caches the
+// program: each run compiles it.
 
 // InferOutsourced runs a secure inference as the constrained client: it
 // only generates a random pad, XORs once, and receives two short bit
@@ -148,18 +160,35 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 		return err
 	}
 
-	sink, err := newGarblerSink(serverConn, rng, share)
+	prog, err := netgen.Compile(net, f, netgen.Options{Outsourced: true})
 	if err != nil {
 		return err
 	}
-	b := circuit.NewBuilder(sink, circuit.WithRecycling())
-	if _, err := netgen.Generate(b, net, f, netgen.Options{Outsourced: true}); err != nil {
+	ots, err := ot.NewExtSender(serverConn, rng)
+	if err != nil {
 		return err
 	}
-	if err := b.Err(); err != nil {
+	otp := precomp.NewSenderPool(serverConn, ots, rng)
+	if err := otp.HandleAnnounce(); err != nil {
 		return err
 	}
-	if err := sink.flushTables(); err != nil {
+	g, _, err := sendConstLabels(serverConn, rng, 1, nil)
+	if err != nil {
+		return err
+	}
+	var cfg EngineConfig
+	en := &batchGarbleEngine{
+		sched:     prog.Schedule,
+		g:         g,
+		pool:      cfg.newPool(),
+		conn:      serverConn,
+		ots:       otp,
+		cfg:       cfg,
+		b:         1,
+		inputBits: [][]bool{share},
+		free:      make(chan []byte, 3),
+	}
+	if err := en.run(); err != nil {
 		return err
 	}
 	if err := serverConn.Flush(); err != nil {
@@ -168,7 +197,7 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 
 	// Send the decode half to the client; the proxy never sees the
 	// evaluator's output labels, so it learns nothing about the result.
-	if err := clientConn.Send(transport.MsgResult, outsource.PackBits(sink.decodeBits())); err != nil {
+	if err := clientConn.Send(transport.MsgResult, packLSBs(en.outZero)); err != nil {
 		return err
 	}
 	return clientConn.Flush()
@@ -207,24 +236,49 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	}
 	inputBits := append(share, nn.WeightBits(s.Net, s.Fmt)...)
 
-	sink, err := newEvaluatorSink(proxyConn, rng, inputBits)
+	prog, err := netgen.Compile(s.Net, s.Fmt, netgen.Options{Outsourced: true})
 	if err != nil {
 		return err
 	}
-	b := circuit.NewBuilder(sink, circuit.WithRecycling())
-	if _, err := netgen.Generate(b, s.Net, s.Fmt, netgen.Options{Outsourced: true}); err != nil {
+	ots, err := ot.NewExtReceiver(proxyConn, rng)
+	if err != nil {
 		return err
 	}
-	if err := b.Err(); err != nil {
+	otp := precomp.NewReceiverPool(proxyConn, ots, rng, precomp.PoolConfig{})
+	if err := otp.Announce(); err != nil {
+		return err
+	}
+	e, err := recvBatchEvaluator(proxyConn, 1)
+	if err != nil {
+		return err
+	}
+	en := &batchEvalEngine{
+		sched:     prog.Schedule,
+		e:         e,
+		pool:      s.Engine.newPool(),
+		conn:      proxyConn,
+		ots:       otp,
+		cfg:       s.Engine,
+		b:         1,
+		inputBits: inputBits,
+	}
+	if err := en.run(); err != nil {
 		return err
 	}
 
-	lsbs := make([]bool, len(sink.outLabels))
-	for i, l := range sink.outLabels {
-		lsbs[i] = l.LSB()
-	}
-	if err := clientConn.Send(transport.MsgOutputLabels, outsource.PackBits(lsbs)); err != nil {
+	if err := clientConn.Send(transport.MsgOutputLabels, packLSBs(en.outLabels)); err != nil {
 		return err
 	}
 	return clientConn.Flush()
+}
+
+// packLSBs packs the point-and-permute bit of each label: from the
+// output zero-labels it is the proxy's decode map (§2.2.2 step iv), from
+// the evaluated output labels the server's half; the client XORs the two.
+func packLSBs(ls []gc.Label) []byte {
+	bits := make([]bool, len(ls))
+	for i, l := range ls {
+		bits[i] = l.LSB()
+	}
+	return outsource.PackBits(bits)
 }

@@ -46,12 +46,17 @@ func parseFrames(t *testing.T, raw []byte) []wireFrame {
 	return out
 }
 
-// stripV4 reduces one direction of a v4/v5 session's frame stream to
-// its v3 content: session and sub-stream framing is dropped (hello /
-// arch / pipeline / begin / end — after validating payloads and tags),
-// tagged per-inference frames — the MsgInfer* single sub-streams and
-// the MsgBatch* batched ones alike — map to their untagged v3 types
-// with the tag removed, and OT frames pass through. The garbler streams
+// beginPayload is a MsgBatchBegin payload: the uvarint inference id,
+// then the uvarint sample count.
+func beginPayload(id uint64, b int) []byte {
+	return transport.AppendTag(transport.AppendTag(nil, id), uint64(b))
+}
+
+// stripV4 reduces one direction of a session's frame stream to its v3
+// content: session and sub-stream framing is dropped (hello / arch /
+// pipeline / begin / end — after validating payloads and tags), tagged
+// per-inference MsgBatch* frames map to their untagged v3 types with
+// the tag removed, and OT frames pass through. The garbler streams
 // inferences serially, so its tagged frames must carry the latest begun
 // id; the evaluator's output frames must tag inferences in completion
 // order (sequential on a depth-1 session).
@@ -74,7 +79,7 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
-			if string(f.payload) != "deepsecure/7" {
+			if string(f.payload) != protocolHello {
 				t.Fatalf("hello = %q", f.payload)
 			}
 		case transport.MsgArch, transport.MsgEndSession:
@@ -87,13 +92,6 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 			if n2 <= 0 || n+n2 != len(f.payload) || mb < 1 {
 				t.Fatalf("malformed pipeline payload %v", f.payload)
 			}
-		case transport.MsgInferBegin:
-			id, n := binary.Uvarint(f.payload)
-			if n != len(f.payload) || id != nextBegin {
-				t.Fatalf("begin payload %v, want uvarint %d", f.payload, nextBegin)
-			}
-			cur = id
-			nextBegin++
 		case transport.MsgBatchBegin:
 			id, n := binary.Uvarint(f.payload)
 			if n <= 0 || id != nextBegin {
@@ -105,13 +103,13 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 			}
 			cur = id
 			nextBegin++
-		case transport.MsgInferConst, transport.MsgBatchConst:
+		case transport.MsgBatchConst:
 			out = append(out, strip(f, transport.MsgConstLabels, cur))
-		case transport.MsgInferInputs, transport.MsgBatchInputs:
+		case transport.MsgBatchInputs:
 			out = append(out, strip(f, transport.MsgInputLabels, cur))
-		case transport.MsgInferTables, transport.MsgBatchTables:
+		case transport.MsgBatchTables:
 			out = append(out, strip(f, transport.MsgTables, cur))
-		case transport.MsgInferOutputs, transport.MsgBatchOutputs:
+		case transport.MsgBatchOutputs:
 			out = append(out, strip(f, transport.MsgOutputLabels, nextOut))
 			nextOut++
 		default:
@@ -383,7 +381,7 @@ func TestPipelineOverlapConformance(t *testing.T) {
 			frames := parseFrames(t, g2e)
 			begins := 0
 			for _, fr := range frames {
-				if fr.typ == transport.MsgInferBegin {
+				if fr.typ == transport.MsgBatchBegin {
 					begins++
 				}
 			}
@@ -488,7 +486,7 @@ func TestPipelineWindowRejectsRunahead(t *testing.T) {
 	}
 	// Bypass the client's own window and run three begins at the server.
 	for id := uint64(1); id <= 3; id++ {
-		if err := sess.conn.Send(transport.MsgInferBegin, transport.AppendTag(nil, id)); err != nil {
+		if err := sess.conn.Send(transport.MsgBatchBegin, beginPayload(id, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,7 +518,7 @@ func TestPipelineUnknownTagRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.conn.SendTagged(transport.MsgInferTables, 7, []byte("junk")); err != nil {
+	if err := sess.conn.SendTagged(transport.MsgBatchTables, 7, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.conn.Flush(); err != nil {
@@ -666,12 +664,10 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 2; id++ {
-		var begin [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(begin[:], id)
-		if err := cConn.Send(transport.MsgInferBegin, begin[:n]); err != nil {
+		if err := cConn.Send(transport.MsgBatchBegin, beginPayload(id, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := cConn.SendTagged(transport.MsgInferConst, id, make([]byte, 2*gc.LabelSize)); err != nil {
+		if err := cConn.SendTagged(transport.MsgBatchConst, id, make([]byte, 2*gc.LabelSize)); err != nil {
 			t.Fatal(err)
 		}
 	walk:
@@ -679,7 +675,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 			st := &prog.Schedule.Steps[i]
 			switch {
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Garbler:
-				if err := cConn.SendTagged(transport.MsgInferInputs, id, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
+				if err := cConn.SendTagged(transport.MsgBatchInputs, id, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
 					t.Fatal(err)
 				}
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator:

@@ -9,14 +9,16 @@
 // architecture exchange, OT-extension base phase) and compile the public
 // netlist once into a replayable tape (netgen.Compile); each further
 // inference on the session only pays for fresh labels, garbling, and the
-// streamed tables. The wire protocol frames each inference with
-// MsgNextInfer and ends with MsgEndSession. One-shot Serve/Infer remain
-// as single-inference sessions.
+// streamed tables. The wire protocol opens each inference with a
+// MsgBatchBegin sub-stream (a single inference is a batch of one) and
+// ends the session with MsgEndSession. One-shot Serve/Infer remain as
+// single-inference sessions.
 //
 // The package also implements the secure-outsourcing deployment (§3.3,
 // Fig. 4) where a resource-constrained client XOR-shares its input between
 // a proxy (who garbles) and the main server (who evaluates), and neither
-// learns the input or — in this implementation — the result.
+// learns the input or — in this implementation — the result. It runs
+// the same compiled-program engines as a session, at one sample.
 package core
 
 import (
@@ -39,20 +41,15 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// protocolHello identifies the session protocol. Version 5 adds batched
-// inference to version 4's cross-inference pipelining: a MsgBatchBegin
-// sub-stream fuses B independent samples into one schedule walk — one
-// tagged stream of interleaved per-level tables, and one OT
-// derandomization exchange per input step covering all B samples
-// (collapsing 2·B round-trips to 2 per batch) — occupying a single slot
-// of the pipeline window. The server's MsgPipeline announcement now
-// carries two uvarints: the in-flight window depth and the batch-size
-// cap. Single inferences still run as v4 MsgInfer* sub-streams,
-// byte-identical to v4 modulo the handshake (and a B=1 batch is
-// byte-identical to a single inference modulo framing, pinned by
-// TestBatchSize1Conformance). OT frames stay untagged — the pool's
-// strict FIFO order already serializes them into the inference-id order
-// both parties derive independently.
+// protocolHello identifies the session protocol. Since version 5 a
+// MsgBatchBegin sub-stream fuses B independent samples into one schedule
+// walk — one tagged stream of interleaved per-level tables, and one OT
+// derandomization exchange per input step covering all B samples —
+// occupying a single slot of the pipeline window, and the server's
+// MsgPipeline announcement carries the window depth and the batch-size
+// cap. OT frames stay untagged: the pool's strict FIFO order already
+// serializes them into the inference-id order both parties derive
+// independently.
 //
 // Version 6 adds the admission path to version 5: a server under load
 // may answer MsgHello with MsgBusy (uvarint retry-after milliseconds)
@@ -66,7 +63,13 @@ import (
 // different netlist and fail mid-inference with an authentication error
 // or a wrong label. Bumping the hello turns that into an "unknown
 // protocol" refusal at the handshake.
-const protocolHello = "deepsecure/7"
+//
+// Version 8 makes every inference a MsgBatchBegin sub-stream: a single
+// inference is a batch of one (Infer(x) and InferBatch([x]) put the same
+// bytes on the wire), and v4's separate single-inference frames are
+// gone, with the long-unused next-inference frame. Dropping them
+// renumbered the frame codes, so a v7 peer is refused at hello.
+const protocolHello = "deepsecure/8"
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (protocol v6 MsgBusy): the server is saturated and asks
@@ -229,7 +232,7 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // the session (or disconnects at an inference boundary, which is treated
 // as an implicit close). The handshake, OT-extension base phase, and
 // netlist compilation happen once; each inference replays the compiled
-// tape with fresh evaluation state. Inferences arrive as tagged v4
+// tape with fresh evaluation state. Inferences arrive as tagged
 // sub-streams and up to EngineConfig.Pipeline of them are evaluated
 // concurrently, overlapping one inference's evaluation tail and output
 // round-trip with the next one's garbled stream. Returns per-session
@@ -475,16 +478,16 @@ func (v clientOTConn) Recv(want transport.MsgType) ([]byte, error) {
 func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
 	// Stack-allocated want set for the per-batch hot path (the pools ask
 	// for at most three types).
-	var buf [5]transport.MsgType
+	var buf [4]transport.MsgType
 	wants := append(buf[:0], want...)
-	wants = append(wants, transport.MsgInferOutputs, transport.MsgBatchOutputs)
+	wants = append(wants, transport.MsgBatchOutputs)
 	for {
 		typ, p, err := v.s.conn.RecvAny(wants...)
 		if err != nil {
 			return 0, nil, err
 		}
-		if typ == transport.MsgInferOutputs || typ == transport.MsgBatchOutputs {
-			if err := v.s.resolveOutput(typ, p); err != nil {
+		if typ == transport.MsgBatchOutputs {
+			if err := v.s.resolveOutput(p); err != nil {
 				return 0, nil, err
 			}
 			continue
@@ -493,35 +496,23 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 	}
 }
 
-// garbleConn is the garble engine's view for one inference sub-stream,
-// single or batched: the engine's logical frames go out tagged with the
-// inference id as the sub-stream's const/inputs/tables variants, OT
-// frames pass through untagged, and receives route through the
-// output-resolving OT face.
+// garbleConn is the garble engine's view for one inference sub-stream:
+// the engine's logical frames go out as the sub-stream's tagged
+// MsgBatch* variants, OT frames pass through untagged, and receives
+// route through the output-resolving OT face.
 type garbleConn struct {
 	s  *Session
 	id uint64
-	// The sub-stream's tagged frame-type triple: MsgInfer* for a single
-	// inference, MsgBatch* for a batch.
-	constT, inputsT, tablesT transport.MsgType
-}
-
-func singleGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferTables}
-}
-
-func batchGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables}
 }
 
 func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
 	switch t {
 	case transport.MsgConstLabels:
-		return v.s.conn.SendTagged(v.constT, v.id, payload)
+		return v.s.conn.SendTagged(transport.MsgBatchConst, v.id, payload)
 	case transport.MsgInputLabels:
-		return v.s.conn.SendTagged(v.inputsT, v.id, payload)
+		return v.s.conn.SendTagged(transport.MsgBatchInputs, v.id, payload)
 	case transport.MsgTables:
-		return v.s.conn.SendTagged(v.tablesT, v.id, payload)
+		return v.s.conn.SendTagged(transport.MsgBatchTables, v.id, payload)
 	default:
 		return v.s.conn.Send(t, payload)
 	}
@@ -663,14 +654,13 @@ func (s *Session) MaxBatch() int { return s.maxBatch }
 // PendingInference is an inference whose garbled stream is on the wire
 // but whose output labels may not have returned yet. Wait blocks until
 // the result is in, driving the session's receive side as needed. The
-// same structure backs batched inferences (batch > 1, wrapped in a
-// PendingBatch): outZero is wire-major with samples innermost and
-// deltas holds each sample's Free-XOR offset.
+// same structure backs batched inferences (wrapped in a PendingBatch):
+// outZero is wire-major with samples innermost and deltas holds each
+// sample's Free-XOR offset.
 type PendingInference struct {
 	s       *Session
 	id      uint64
 	batch   int
-	batched bool // opened as a MsgBatchBegin sub-stream
 	deltas  []gc.Label
 	outZero []gc.Label
 	start   time.Time
@@ -726,19 +716,19 @@ func (p *PendingInference) Done() bool { return p.done }
 // resolveNext reads the next output-label frame and resolves the
 // in-flight inference it belongs to.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgBatchOutputs)
+	payload, err := s.conn.Recv(transport.MsgBatchOutputs)
 	if err != nil {
 		return err
 	}
-	return s.resolveOutput(typ, payload)
+	return s.resolveOutput(payload)
 }
 
 // resolveOutput authenticates one output-label frame against its
 // in-flight inference and settles the result (§2.2.2 step iv): a
 // tampered or corrupted evaluation cannot yield a silently wrong label,
-// it fails here. Batched inferences resolve all B sample labels from
-// their single MsgBatchOutputs frame (wire-major, samples innermost).
-func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
+// it fails here. All B sample labels resolve from the sub-stream's
+// single MsgBatchOutputs frame (wire-major, samples innermost).
+func (s *Session) resolveOutput(payload []byte) error {
 	id, content, err := transport.SplitTag(payload)
 	if err != nil {
 		return err
@@ -754,9 +744,6 @@ func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
 		return fmt.Errorf("core: output frame for unknown inference %d", id)
 	}
 	p := s.inflight[idx]
-	if p.batched != (typ == transport.MsgBatchOutputs) {
-		return fmt.Errorf("core: %v frame for inference %d does not match its sub-stream kind", typ, id)
-	}
 	if len(content) != len(p.outZero)*gc.LabelSize {
 		return fmt.Errorf("core: output-label frame has %d bytes, want %d",
 			len(content), len(p.outZero)*gc.LabelSize)
@@ -815,8 +802,8 @@ func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
 // has room it returns as soon as the garbled stream is flushed — the
 // output round-trip and the server's evaluation tail overlap the next
 // InferAsync's garbling. When the window is full it first settles the
-// oldest in-flight result. The inference runs as a batch of one on the
-// same engine as InferBatchAsync, framed as a MsgInferBegin sub-stream.
+// oldest in-flight result. The inference is a batch of one: on the wire
+// it is identical to InferBatchAsync([][]float64{x}).
 func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 	if err := s.usable(); err != nil {
 		return nil, err
@@ -825,7 +812,7 @@ func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 		// Validated before any frame is sent: the session stays usable.
 		return nil, fmt.Errorf("core: sample has %d features, model wants %d", got, want)
 	}
-	return s.infer([][]float64{x}, false)
+	return s.infer([][]float64{x})
 }
 
 // usable reports why the session cannot start another inference, if it
@@ -890,18 +877,16 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 			return nil, fmt.Errorf("core: batch sample %d has %d features, model wants %d", i, got, want)
 		}
 	}
-	p, err := s.infer(xs, true)
+	p, err := s.infer(xs)
 	if err != nil {
 		return nil, err
 	}
 	return &PendingBatch{p: p}, nil
 }
 
-// infer garbles and streams one inference sub-stream of len(xs)
-// validated samples: a MsgBatchBegin batch when batched, a MsgInferBegin
-// single inference (len(xs) = 1) otherwise. Both kinds run the same
-// engine and differ only in framing.
-func (s *Session) infer(xs [][]float64, batched bool) (*PendingInference, error) {
+// infer garbles and streams one MsgBatchBegin sub-stream of len(xs)
+// validated samples.
+func (s *Session) infer(xs [][]float64) (*PendingInference, error) {
 	for len(s.inflight) >= s.window {
 		if err := s.resolveNext(); err != nil {
 			s.failed = true
@@ -926,24 +911,17 @@ func (s *Session) infer(xs [][]float64, batched bool) (*PendingInference, error)
 	id := s.nextID
 	s.nextID++
 	p := &PendingInference{
-		s:       s,
-		id:      id,
-		batch:   b,
-		batched: batched,
-		start:   time.Now(),
-		sent0:   s.conn.BytesSent.Load(),
-		recv0:   s.conn.BytesReceived.Load(),
-		ot0:     s.ots.Stats(),
+		s:     s,
+		id:    id,
+		batch: b,
+		start: time.Now(),
+		sent0: s.conn.BytesSent.Load(),
+		recv0: s.conn.BytesReceived.Load(),
+		ot0:   s.ots.Stats(),
 	}
-	conn := singleGarbleConn(s, id)
-	begin := transport.MsgInferBegin
-	s.tagBuf = transport.AppendTag(s.tagBuf[:0], id)
-	if batched {
-		conn = batchGarbleConn(s, id)
-		begin = transport.MsgBatchBegin
-		s.tagBuf = transport.AppendTag(s.tagBuf, uint64(b))
-	}
-	if err := s.conn.Send(begin, s.tagBuf); err != nil {
+	conn := garbleConn{s, id}
+	s.tagBuf = transport.AppendTag(transport.AppendTag(s.tagBuf[:0], id), uint64(b))
+	if err := s.conn.Send(transport.MsgBatchBegin, s.tagBuf); err != nil {
 		return fail(err)
 	}
 	// Garble-ahead fast path: the sub-stream consumes b banked
@@ -965,15 +943,8 @@ func (s *Session) infer(xs [][]float64, batched bool) (*PendingInference, error)
 	// Fresh garbling state per inference and per sample: every sample has
 	// its own Free-XOR delta and its own wire labels, so the samples of a
 	// batch are as unlinkable as separate inferences.
-	bg, err := gc.NewBatchGarbler(s.rng, b)
+	bg, constPayload, err := sendConstLabels(conn, s.rng, b, s.labelBuf[:0])
 	if err != nil {
-		return fail(err)
-	}
-	constPayload, err := bg.AppendConstLabels(s.labelBuf[:0])
-	if err != nil {
-		return fail(err)
-	}
-	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
 	en := &batchGarbleEngine{

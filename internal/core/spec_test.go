@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -182,12 +181,10 @@ func TestSpeculativeMidOTDisconnectTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 2; id++ {
-		var begin [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(begin[:], id)
-		if err := cConn.Send(transport.MsgInferBegin, begin[:n]); err != nil {
+		if err := cConn.Send(transport.MsgBatchBegin, beginPayload(id, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := cConn.SendTagged(transport.MsgInferConst, id, make([]byte, 2*gc.LabelSize)); err != nil {
+		if err := cConn.SendTagged(transport.MsgBatchConst, id, make([]byte, 2*gc.LabelSize)); err != nil {
 			t.Fatal(err)
 		}
 	walk:
@@ -195,7 +192,7 @@ func TestSpeculativeMidOTDisconnectTerminates(t *testing.T) {
 			st := &prog.Schedule.Steps[i]
 			switch {
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Garbler:
-				if err := cConn.SendTagged(transport.MsgInferInputs, id, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
+				if err := cConn.SendTagged(transport.MsgBatchInputs, id, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
 					t.Fatal(err)
 				}
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator:

@@ -7,7 +7,9 @@ import (
 )
 
 // Evaluator holds the evaluation state: the single active label per live
-// wire and the same gate counter the garbler uses for hash tweaks.
+// wire and the same gate counter the garbler uses for hash tweaks. Like
+// Garbler it is the scalar reference oracle for the level kernel
+// (BatchEvaluator), which production evaluation runs.
 type Evaluator struct {
 	h      *Hasher
 	labels []Label

@@ -10,6 +10,8 @@ import (
 // Garbler holds the garbling state for one protocol session: the global
 // Free-XOR delta, the zero-label of every live wire, and the gate counter
 // that keys the hash tweaks. It is driven gate-by-gate in netlist order.
+// Production garbling runs the level kernel (BatchGarbler); this scalar
+// garbler is the reference oracle the gc tests compare it against.
 type Garbler struct {
 	R Label
 	// r2 caches double(R): doubling is GF(2)-linear, so 2(L⊕R) = 2L ⊕ 2R

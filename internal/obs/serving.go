@@ -134,7 +134,7 @@ var (
 	mInferences = Default.Counter(Desc{Name: "deepsecure_inferences_total",
 		Help: "Inferences completed (each sample of a batch counts once)."})
 	mBatches = Default.Counter(Desc{Name: "deepsecure_batches_total",
-		Help: "Fused batched inferences (protocol v5) completed."})
+		Help: "Fused batched inferences of two or more samples completed (a single inference is a batch of one and is not counted)."})
 	mErrors = Default.Counter(Desc{Name: "deepsecure_session_errors_total",
 		Help: "Sessions that ended with a protocol or transport error."})
 
@@ -285,7 +285,7 @@ func AddInferences(n int64) {
 	}
 }
 
-// IncBatches counts a completed fused batch.
+// IncBatches counts a completed fused batch of two or more samples.
 func IncBatches() {
 	if enabled.Load() {
 		mBatches.Inc()

@@ -95,8 +95,8 @@ func TestReadFrameCorruptionClasses(t *testing.T) {
 // (framing is intact) and fails at SplitTag with the tag-specific error.
 func TestReadFrameTruncatedTag(t *testing.T) {
 	// 0x80 starts a multi-byte uvarint that never completes.
-	typ, payload, err := rawConn(frame(MsgInferTables, []byte{0x80})).ReadFrame()
-	if err != nil || typ != MsgInferTables {
+	typ, payload, err := rawConn(frame(MsgBatchTables, []byte{0x80})).ReadFrame()
+	if err != nil || typ != MsgBatchTables {
 		t.Fatalf("ReadFrame = %v, %v; framing itself is fine", typ, err)
 	}
 	if _, _, err := SplitTag(payload); err == nil ||
@@ -113,7 +113,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(MsgHello, []byte("deepsecure")))
 	f.Add(frame(MsgHello, nil))
-	f.Add(append(frame(MsgInferBegin, []byte{1}), frame(MsgInferConst, bytes.Repeat([]byte{7}, 64))...))
+	f.Add(append(frame(MsgBatchBegin, []byte{1, 1}), frame(MsgBatchConst, bytes.Repeat([]byte{7}, 64))...))
 	f.Add(frame(MsgHello, []byte("x"))[:3])                   // truncated header
 	f.Add(frame(MsgHello, bytes.Repeat([]byte{9}, 100))[:20]) // truncated payload
 	oversized := frame(MsgTables, nil)

@@ -32,11 +32,9 @@ const (
 	MsgResult
 	MsgShare
 	MsgArch
-	// Session framing: a client announces each further inference on an
-	// open session with MsgNextInfer and ends the session with
-	// MsgEndSession, so a server can amortize its handshake, OT base
-	// phase, and compiled netlist across many inferences.
-	MsgNextInfer
+	// MsgEndSession ends a multi-inference session, so a server can
+	// amortize its handshake, OT base phase, and compiled netlist across
+	// many inferences.
 	MsgEndSession
 	// OT precomputation (offline/online split): MsgOTRefill announces a
 	// bulk random-OT generation of n extended OTs (uvarint payload; n=0
@@ -47,31 +45,20 @@ const (
 	MsgOTRefill
 	MsgOTDerandC
 	MsgOTDerandM
-	// Cross-inference pipelining (protocol v4): MsgPipeline is the
-	// server's in-flight window announcement (uvarint depth, sent once
-	// after the architecture), MsgInferBegin opens the per-inference
-	// sub-stream carrying its uvarint inference id, and the MsgInfer*
-	// frames are the tagged v4 variants of the per-inference traffic —
-	// each payload starts with the uvarint inference id (AppendTag /
-	// SplitTag) so frames of overlapped inferences can share one
-	// connection. OT frames stay untagged: the pool's strict FIFO order
-	// already serializes them into a total order both parties derive
-	// from the inference ids.
+	// Inference sub-streams (protocol v8): MsgPipeline is the server's
+	// announcement of the in-flight window depth and the batch-size cap
+	// (two uvarints, sent once after the architecture). MsgBatchBegin
+	// opens one inference sub-stream (uvarint inference id ++ uvarint
+	// sample count B; a single inference is B=1) that occupies one slot
+	// of the window and walks the schedule once for all B samples. The
+	// MsgBatch* frames carry its per-inference traffic: each payload
+	// starts with the uvarint inference id (AppendTag / SplitTag), so
+	// frames of overlapped inferences can share one connection, and
+	// carries all B samples wire-major with samples innermost (gate rank
+	// i, sample s of a level's tables at (i*B+s)*TableSize). OT frames
+	// stay untagged: the pool's strict FIFO order already serializes
+	// them into a total order both parties derive from the inference ids.
 	MsgPipeline
-	MsgInferBegin
-	MsgInferConst
-	MsgInferInputs
-	MsgInferTables
-	MsgInferOutputs
-	// Batched inference (protocol v5): MsgBatchBegin opens a batched
-	// sub-stream (uvarint inference id ++ uvarint batch size B) that
-	// occupies one slot of the pipeline window and fuses B independent
-	// sample instances into one schedule walk. The MsgBatch* frames are
-	// the batch counterparts of the MsgInfer* ones — same uvarint id
-	// prefix, payloads carrying all B samples wire-major with samples
-	// innermost (gate rank i, sample s of a level's tables at
-	// (i*B+s)*TableSize). At B=1 every payload is byte-identical to its
-	// MsgInfer* counterpart.
 	MsgBatchBegin
 	MsgBatchConst
 	MsgBatchInputs
@@ -102,12 +89,9 @@ var msgNames = map[MsgType]string{
 	MsgOTBase: "ot-base", MsgOTExtU: "ot-ext-u", MsgOTExtY: "ot-ext-y",
 	MsgOutputLabels: "output-labels", MsgResult: "result",
 	MsgShare: "share", MsgArch: "arch",
-	MsgNextInfer: "next-infer", MsgEndSession: "end-session",
-	MsgOTRefill: "ot-refill", MsgOTDerandC: "ot-derand-c",
-	MsgOTDerandM: "ot-derand-m",
-	MsgPipeline:  "pipeline", MsgInferBegin: "infer-begin",
-	MsgInferConst: "infer-const", MsgInferInputs: "infer-inputs",
-	MsgInferTables: "infer-tables", MsgInferOutputs: "infer-outputs",
+	MsgEndSession: "end-session",
+	MsgOTRefill:   "ot-refill", MsgOTDerandC: "ot-derand-c",
+	MsgOTDerandM: "ot-derand-m", MsgPipeline: "pipeline",
 	MsgBatchBegin: "batch-begin", MsgBatchConst: "batch-const",
 	MsgBatchInputs: "batch-inputs", MsgBatchTables: "batch-tables",
 	MsgBatchOutputs: "batch-outputs",
@@ -194,7 +178,7 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	return c.send(t, nil, payload)
 }
 
-// SendTagged buffers one v4 sub-stream frame whose payload is the
+// SendTagged buffers one tagged sub-stream frame whose payload is the
 // uvarint inference id followed by payload. The tag is framed in place —
 // no copy of the (often megabyte-sized) table payload is made.
 func (c *Conn) SendTagged(t MsgType, id uint64, payload []byte) error {
@@ -244,8 +228,8 @@ func (c *Conn) Recv(want MsgType) ([]byte, error) {
 }
 
 // RecvAny reads the next frame, requiring its type to be one of want —
-// the session-boundary receive, where a server accepts either a
-// next-inference announcement or an end-of-session marker. Like Recv it
+// the receive for protocol points with more than one legal answer (a
+// hello is answered by the architecture or by a busy refusal). Like Recv it
 // flushes pending writes first.
 func (c *Conn) RecvAny(want ...MsgType) (MsgType, []byte, error) {
 	if err := c.Flush(); err != nil {

@@ -203,7 +203,7 @@ func TestClosedPipeEOF(t *testing.T) {
 func TestRecvAny(t *testing.T) {
 	a, b, closer := Pipe()
 	defer closer.Close()
-	for _, typ := range []MsgType{MsgNextInfer, MsgEndSession} {
+	for _, typ := range []MsgType{MsgArch, MsgBusy} {
 		if err := a.Send(typ, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -211,19 +211,19 @@ func TestRecvAny(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := b.RecvAny(MsgNextInfer, MsgEndSession)
+	got, _, err := b.RecvAny(MsgArch, MsgBusy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != MsgNextInfer {
-		t.Fatalf("got %v, want %v", got, MsgNextInfer)
+	if got != MsgArch {
+		t.Fatalf("got %v, want %v", got, MsgArch)
 	}
-	got, _, err = b.RecvAny(MsgNextInfer, MsgEndSession)
+	got, _, err = b.RecvAny(MsgArch, MsgBusy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != MsgEndSession {
-		t.Fatalf("got %v, want %v", got, MsgEndSession)
+	if got != MsgBusy {
+		t.Fatalf("got %v, want %v", got, MsgBusy)
 	}
 }
 
@@ -236,11 +236,11 @@ func TestRecvAnyMismatch(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := b.RecvAny(MsgNextInfer, MsgEndSession)
+	_, _, err := b.RecvAny(MsgArch, MsgBusy)
 	if err == nil || !strings.Contains(err.Error(), "desync") {
 		t.Errorf("mismatch should report desync naming both types, got %v", err)
 	}
-	if err != nil && !strings.Contains(err.Error(), "next-infer|end-session") {
+	if err != nil && !strings.Contains(err.Error(), "arch|busy") {
 		t.Errorf("error should name the accepted set, got %v", err)
 	}
 }
@@ -266,9 +266,9 @@ func TestMsgTypeString(t *testing.T) {
 		MsgOTDerandC:    "ot-derand-c",
 		MsgOTDerandM:    "ot-derand-m",
 		MsgPipeline:     "pipeline",
-		MsgInferBegin:   "infer-begin",
-		MsgInferTables:  "infer-tables",
-		MsgInferOutputs: "infer-outputs",
+		MsgBatchBegin:   "batch-begin",
+		MsgBatchTables:  "batch-tables",
+		MsgBatchOutputs: "batch-outputs",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("MsgType(%d).String() = %q, want %q", uint8(m), got, want)

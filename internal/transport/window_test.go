@@ -32,7 +32,7 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 	a, b, closer := Pipe()
 	defer closer.Close()
 	payload := []byte("garbled tables go here")
-	if err := a.SendTagged(MsgInferTables, 300, payload); err != nil {
+	if err := a.SendTagged(MsgBatchTables, 300, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Flush(); err != nil {
@@ -42,8 +42,8 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgInferTables {
-		t.Fatalf("type = %v, want %v", typ, MsgInferTables)
+	if typ != MsgBatchTables {
+		t.Fatalf("type = %v, want %v", typ, MsgBatchTables)
 	}
 	id, content, err := SplitTag(raw)
 	if err != nil {
@@ -204,7 +204,7 @@ func FuzzSplitTag(f *testing.F) {
 		var buf bytes.Buffer
 		c := New(readWriter{&buf, io.Discard})
 		cw := New(readWriter{bytes.NewReader(nil), &buf})
-		if err := cw.SendTagged(MsgInferTables, id, content); err != nil {
+		if err := cw.SendTagged(MsgBatchTables, id, content); err != nil {
 			return // oversized fuzz payloads may exceed MaxFrame
 		}
 		if err := cw.Flush(); err != nil {
@@ -215,7 +215,7 @@ func FuzzSplitTag(f *testing.F) {
 			t.Fatalf("framed tagged payload unreadable: %v", err)
 		}
 		id3, content3, err := SplitTag(raw)
-		if typ != MsgInferTables || err != nil || id3 != id || !bytes.Equal(content3, content) {
+		if typ != MsgBatchTables || err != nil || id3 != id || !bytes.Equal(content3, content) {
 			t.Fatalf("wire round trip drift: typ=%v err=%v id=%d", typ, err, id3)
 		}
 	})
