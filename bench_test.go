@@ -700,7 +700,7 @@ func BenchmarkGarbleLevel(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				pool := gc.NewPool(1)
+				pool := gc.NewSharedPool(nil, 1) // inline: one core
 				tables := make([]byte, nAND*batch*gc.TableSize)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -808,11 +808,9 @@ func BenchmarkSessionThroughput(b *testing.B) {
 }
 
 // BenchmarkSharedPool drives S concurrent in-process sessions through
-// one server, comparing the process-wide shared work-stealing scheduler
-// against dedicated per-session pools (PrivatePool). This is the
-// in-process half of the BENCH_load.json story — per-session pools
-// oversubscribe the machine as S grows, the shared pool keeps the
-// worker count fixed — and doubles as the per-PR deadlock canary for
+// one server on the process-wide shared work-stealing scheduler. It is
+// the in-process half of the BENCH_load.json story — the worker count
+// stays fixed as S grows — and doubles as the per-PR deadlock canary for
 // the scheduler's steal paths: CI runs one iteration, so a regression
 // that wedges concurrent Do submissions hangs here, not in production.
 func BenchmarkSharedPool(b *testing.B) {
@@ -834,50 +832,69 @@ func BenchmarkSharedPool(b *testing.B) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	for _, mode := range []struct {
-		name    string
-		private bool
-	}{{"shared", false}, {"private", true}} {
-		for _, sessions := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%s/sessions=%d", mode.name, sessions), func(b *testing.B) {
-				cfg := core.EngineConfig{PrivatePool: mode.private}
-				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: cfg}
-				if err := srv.Precompile(); err != nil {
-					b.Fatal(err)
-				}
-				cli := &core.Client{Engine: cfg}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					errs := make(chan error, 2*sessions)
-					for s := 0; s < sessions; s++ {
-						wg.Add(1)
+	for _, sessions := range []int{4, 16} {
+		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+			srv := &core.Server{Net: net, Fmt: fixed.Default}
+			if err := srv.Precompile(); err != nil {
+				b.Fatal(err)
+			}
+			cli := &core.Client{}
+			warmClient(b, srv, cli)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				errs := make(chan error, 2*sessions)
+				for s := 0; s < sessions; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						cConn, sConn, closer := transport.Pipe()
+						defer closer.Close()
+						srvDone := make(chan struct{})
 						go func() {
-							defer wg.Done()
-							cConn, sConn, closer := transport.Pipe()
-							defer closer.Close()
-							srvDone := make(chan struct{})
-							go func() {
-								defer close(srvDone)
-								if _, err := srv.ServeSession(sConn); err != nil {
-									errs <- err
-								}
-							}()
-							if _, _, err := cli.InferMany(cConn, xs); err != nil {
+							defer close(srvDone)
+							if _, err := srv.ServeSession(sConn); err != nil {
 								errs <- err
 							}
-							<-srvDone
 						}()
-					}
-					wg.Wait()
-					close(errs)
-					for err := range errs {
-						b.Fatal(err)
-					}
+						if _, _, err := cli.InferMany(cConn, xs); err != nil {
+							errs <- err
+						}
+						<-srvDone
+					}()
 				}
-				b.ReportMetric(float64(sessions*k*b.N)/b.Elapsed().Seconds(), "inf/s")
-			})
-		}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sessions*k*b.N)/b.Elapsed().Seconds(), "inf/s")
+		})
+	}
+}
+
+// warmClient runs one untimed session so the client's lazily compiled
+// program is cached before the timer starts: otherwise the first timed
+// iteration pays netgen.Compile.
+func warmClient(b *testing.B, srv *core.Server, cli *core.Client) {
+	b.Helper()
+	cConn, sConn, closer := transport.Pipe()
+	defer closer.Close()
+	srvDone := make(chan error, 1)
+	go func() {
+		_, err := srv.ServeSession(sConn)
+		srvDone <- err
+	}()
+	sess, err := cli.NewSession(cConn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-srvDone; err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -922,6 +939,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			cli := &core.Client{Engine: mode.cfg}
+			warmClient(b, srv, cli)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cConn, sConn, closer := transport.Pipe()
@@ -1328,9 +1346,9 @@ func BenchmarkSessionBatch(b *testing.B) {
 // selection, stream writes from the bank, and the OT derandomization
 // exchanges; bank-off it additionally garbles every gate live. The OT
 // pool is sized to cover a whole iteration so no refill crypto lands in
-// the timed region, and bank rows run the server with SpeculativeOT (the
-// pairing the bank makes matter: once garbling is gone, the ordered OT
-// exchange is the dominant online step). B=1 runs four pipelined single
+// the timed region; every inference issues its OT requests in one
+// flight, which is what the bank makes matter (once garbling is gone,
+// the OT exchange is the dominant online step). B=1 runs four pipelined single
 // inferences per iteration; B=16 one fused batch. The ≥2× bankWarm vs
 // bankOff acceptance row at B=1 and the ~0 onlineGarbleMs/inf for bank
 // hits are committed as BENCH_offline.json.
@@ -1372,7 +1390,7 @@ func BenchmarkSessionOffline(b *testing.B) {
 				// in the setup fill; low water 1 so nothing triggers a
 				// mid-session refill into the timed region.
 				pool := precomp.PoolConfig{Capacity: 1 << 19, RefillLowWater: 1}
-				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch, SpeculativeOT: mode.bank}
+				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}
 				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: srvCfg, OTPool: pool}
 				if err := srv.Precompile(); err != nil {
 					b.Fatal(err)

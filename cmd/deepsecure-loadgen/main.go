@@ -1,8 +1,7 @@
 // deepsecure-loadgen drives a deepsecure-serve daemon with many
-// concurrent secure-inference sessions and reports latency percentiles
-// — the measurement half of the shared-engine-pool work: per-session
-// pools look fine at S=1 and fall over at S=64, and only a load
-// generator with open-loop arrivals and a percentile report shows it.
+// concurrent secure-inference sessions and reports latency percentiles:
+// how the shared engine scheduler and admission control behave at S=64
+// only shows under open-loop arrivals and a percentile report.
 //
 //	deepsecure-loadgen -connect 127.0.0.1:9090 -sessions 64 -rate 32 -inferences 4
 //
@@ -41,7 +40,6 @@ type config struct {
 	Inferences  int     `json:"inferences_per_session"`
 	Batch       int     `json:"batch"`
 	Workers     int     `json:"client_workers"`
-	PrivatePool bool    `json:"client_private_pool"`
 	Retries     int     `json:"busy_retries"`
 	Seed        int64   `json:"seed"`
 }
@@ -91,7 +89,6 @@ func main() {
 	flag.IntVar(&cfg.Inferences, "inferences", 4, "inferences per session")
 	flag.IntVar(&cfg.Batch, "batch", 0, "fuse inferences into batches of this size (0/1 = single)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "client engine workers (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.PrivatePool, "private-pool", false, "per-session client worker sets instead of the shared scheduler")
 	flag.IntVar(&cfg.Retries, "retries", 16, "busy-response retries per session before dropping it")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "sample seed")
 	jsonPath := flag.String("json", "-", "write the JSON report here (- = stdout)")
@@ -105,10 +102,7 @@ func main() {
 	// One shared client: the compiled netlist is cached per model spec,
 	// so only the first session pays compilation — matching a real
 	// multi-session client process.
-	cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{
-		Workers:     cfg.Workers,
-		PrivatePool: cfg.PrivatePool,
-	}}
+	cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{Workers: cfg.Workers}}
 
 	var rep report
 	rep.Config = cfg

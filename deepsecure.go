@@ -114,9 +114,7 @@ type (
 	// each execution's table bytes to disk. Set it on a Client via
 	// EngineConfig.Bank — the client is the garbler, so the bank lives
 	// there; a session whose take hits the bank skips online garbling
-	// entirely. On a server, pass it to NewServer via WithBank to enable
-	// the matching speculative OT consumption. The zero value disables
-	// banking.
+	// entirely. The zero value disables banking.
 	BankConfig = bank.Config
 	// BankStats counts a bank's offline and online activity (hits,
 	// misses, executions banked, refill wall time). Session.BankStats
@@ -165,15 +163,11 @@ var (
 	// announces and enforces: one InferBatch call fuses up to n samples
 	// into a single schedule walk and OT exchange (0 = DefaultMaxBatch).
 	WithMaxBatch = server.WithMaxBatch
-	// WithBank installs the garble-ahead bank policy in the server's
-	// session engine configuration and enables speculative OT consumption
-	// when the bank is enabled (banked clients make the ordered OT
-	// exchange the dominant online step).
+	// WithBank is a no-op kept for source compatibility: the bank lives
+	// with the garbling client, and servers answer banked clients as is.
 	WithBank = server.WithBank
-	// WithSpeculativeOT toggles speculative OT consumption on its own:
-	// each inference's derandomization corrections go out in one flight
-	// at its first evaluator step, freeing the OT-pool turn for the next
-	// in-flight inference immediately.
+	// WithSpeculativeOT is a no-op kept for source compatibility: every
+	// session issues each inference's OT requests at once.
 	WithSpeculativeOT = server.WithSpeculativeOT
 	// WithAdmission installs the global admission controller: sessions
 	// past the configured limits are refused with a busy frame (clients

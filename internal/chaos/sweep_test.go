@@ -21,7 +21,7 @@ import (
 )
 
 // The chaos sweep: a real TCP server with every robustness feature on
-// (pipelining, batching, banked clients, speculative OT, admission,
+// (pipelining, batching, banked clients, issue-all OT, admission,
 // idle timeout, phase deadlines), driven through ≥50 seeded fault
 // scripts. The contract it pins is the failure-behavior half of the
 // paper's guarantee: whatever the network does — resets, bit-flips,
@@ -66,7 +66,6 @@ func TestChaosSweep(t *testing.T) {
 			},
 		}),
 		server.WithOTPool(precomp.PoolConfig{Capacity: 512}),
-		server.WithSpeculativeOT(true),
 		server.WithIdleTimeout(2*time.Second),
 		server.WithAdmission(server.AdmissionConfig{
 			MaxActive:   4,

@@ -404,7 +404,7 @@ func TestBankEngineExactRunLength(t *testing.T) {
 	if st == nil {
 		t.Fatal("test net schedules no garbled tables")
 	}
-	bk := bank.New(sched, rand.New(rand.NewSource(510)), 1, bank.Config{Depth: 2})
+	bk := bank.NewWithPool(sched, rand.New(rand.NewSource(510)), EngineConfig{Workers: 1}.newPool(), bank.Config{Depth: 2})
 	defer bk.Close()
 	for _, b := range []int{1, 2} {
 		for _, delta := range []int{0, gc.TableSize, -gc.TableSize} {

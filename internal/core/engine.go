@@ -87,28 +87,6 @@ type EngineConfig struct {
 	// execution ≈ the circuit's table bytes (ANDs × 32) plus input and
 	// output labels — budget Depth accordingly or set Bank.SpillDir.
 	Bank bank.Config
-	// SpeculativeOT loosens the server's per-inference OT-pool
-	// sequencing on pipelined sessions: an inference issues ALL of its
-	// input steps' derandomization corrections at its first evaluator
-	// step (releasing the pool turn immediately) and collects the
-	// responses in ticket order as the walk reaches each step, so
-	// inference k+1's corrections overlap inference k's evaluation tail
-	// and the per-step round-trips of one inference collapse into a
-	// single flight. Server-side only; it changes server→client frame
-	// timing but not frame order, and requires an enabled OT pool (it is
-	// a no-op otherwise).
-	SpeculativeOT bool
-	// PrivatePool opts this engine out of the process-wide shared
-	// work-stealing scheduler (internal/sched). By default every
-	// session's level runs submit chunks to one sched.Default() worker
-	// set sized to the machine, so S concurrent sessions share
-	// GOMAXPROCS workers instead of spawning S×Workers goroutines.
-	// Setting PrivatePool restores a dedicated per-pool worker set —
-	// the pre-shared behavior, useful for isolation benchmarks and as
-	// the baseline the shared-vs-private conformance tests pin against.
-	// Either way the produced byte streams are identical; only
-	// scheduling changes.
-	PrivatePool bool
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
 	// per-inference) by wall time, complementing the transport-level
 	// idle timeout: the idle timeout catches peers that stop moving
@@ -136,12 +114,8 @@ func (c EngineConfig) workers() int {
 }
 
 // newPool builds the gc.Pool this configuration calls for: a view of
-// the process-wide shared scheduler fanning out at most workers() ways,
-// or a dedicated worker set when PrivatePool is set.
+// the process-wide shared scheduler fanning out at most workers() ways.
 func (c EngineConfig) newPool() *gc.Pool {
-	if c.PrivatePool {
-		return gc.NewPool(c.workers())
-	}
 	return gc.NewSharedPool(sched.Default(), c.workers())
 }
 
@@ -477,12 +451,12 @@ const frameRingDepth = 4
 // perr) is the authoritative cause.
 var errPrefetchStopped = errors.New("core: table prefetch stopped early")
 
-// speculativeChoices slices the evaluator's full input-bit stream into
-// one choice vector per evaluator-input step (each wire's bit repeated b
-// times, samples innermost) — the whole
-// inference's OT demand, computable before any step runs because only
-// evaluator steps consume the stream.
-func speculativeChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]bool, error) {
+// stepChoices slices the evaluator's full input-bit stream into one
+// choice vector per evaluator-input step (each wire's bit repeated b
+// times, samples innermost) — the whole inference's OT demand,
+// computable before any step runs because only evaluator steps consume
+// the stream.
+func stepChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]bool, error) {
 	var steps [][]bool
 	cur := 0
 	for si := range sched.Steps {
@@ -503,33 +477,6 @@ func speculativeChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]b
 		steps = append(steps, choices)
 	}
 	return steps, nil
-}
-
-// speculativeIssue runs the issue half of the speculative OT protocol
-// for one inference: under the pool-order turn, put every step's
-// corrections on the wire, then release the turn immediately — the
-// FIFO state is fully advanced, so the next inference's corrections
-// overlap this one's evaluation and collects. A failed issue holds the
-// turn (the pool is desynchronized; teardown's Abort unblocks waiters),
-// mirroring the non-speculative path's failed-exchange policy.
-func speculativeIssue(ots *precomp.ReceiverPool, seq *precomp.Sequencer, turn int64, sched *circuit.Schedule, inputBits []bool, b int) ([]*precomp.PendingReceive, error) {
-	steps, err := speculativeChoices(sched, inputBits, b)
-	if err != nil {
-		return nil, err
-	}
-	if seq != nil {
-		if err := seq.Acquire(turn); err != nil {
-			return nil, err
-		}
-	}
-	prs, err := ots.IssueAll(steps)
-	if err != nil {
-		return nil, err
-	}
-	if seq != nil {
-		seq.Release(turn)
-	}
-	return prs, nil
 }
 
 // recvBatchEvaluator receives a sub-stream's const-label frame — the b
@@ -571,27 +518,23 @@ type batchEvalEngine struct {
 	// inputBits is the evaluator's bit stream (the model's weight bits)
 	// — identical for every sample; only the labels differ per sample.
 	inputBits []bool
-	cursor    int
 
 	// seq, when set, is the pipelined session's ordered-admission gate
-	// to the shared OT pool: this sub-stream Acquires seqTurn at its
-	// first evaluator-input step, runs all evalSteps exchanges (each
-	// covering all b samples) while holding it, and Releases after the
-	// last — the deterministic consume order (all of inference k before
-	// any of k+1) the garbler derives from its serial garble order.
-	seq       *precomp.Sequencer
-	seqTurn   int64
-	evalSteps int
-	stepsDone int
+	// to the shared OT state: the sub-stream Acquires seqTurn at its
+	// first evaluator-input step, issues every such step's request (each
+	// covering all b samples) together, and Releases right away — the
+	// FIFO state is fully advanced, so the next inference's requests
+	// overlap this one's evaluation. The order (all of inference k's
+	// requests before any of k+1's) is the one the garbler derives from
+	// its serial garble order.
+	seq     *precomp.Sequencer
+	seqTurn int64
 
-	// spec switches OT consumption to the speculative issue/collect
-	// protocol (EngineConfig.SpeculativeOT): at the first evaluator-input
-	// step the engine issues ALL steps' corrections — each wire's bit
-	// expanded ×b — in one flight and releases the pool turn immediately;
-	// each step then collects its response in ticket order. Requires an
-	// enabled pool.
-	spec    bool
-	specPrs []*precomp.PendingReceive
+	// prs holds this run's issued OT requests, one per evaluator-input
+	// step (nil until issued); the walk Collects prs[stepsDone] when it
+	// reaches that step.
+	prs       []*precomp.PendingReceive
+	stepsDone int
 
 	// progress, when set, is bumped once per evaluated level so
 	// idle-timeout transport wrappers can tell "quiet because the
@@ -611,14 +554,7 @@ type batchEvalEngine struct {
 
 func (en *batchEvalEngine) run() error {
 	en.e.Grow(en.sched.NumWires)
-	if en.seq != nil && en.evalSteps == 0 {
-		// No OT work this inference: pass the turn through so later
-		// inferences are not gated forever.
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-		en.seq.Release(en.seqTurn)
-	}
+	en.prs, en.stepsDone = nil, 0
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
 		var err error
@@ -634,6 +570,41 @@ func (en *batchEvalEngine) run() error {
 			return err
 		}
 	}
+	if en.prs == nil {
+		// No evaluator inputs: the empty flight still passes the turn.
+		return en.issueOTs()
+	}
+	return nil
+}
+
+// issueOTs issues the whole run's OT demand at its first
+// evaluator-input step — every frame the garbler sent before that step
+// is consumed, so a refill exchange here reads the next OT response, on
+// a demultiplexed session or a plain connection alike. Under the
+// session's pool-order turn it issues one request per evaluator-input
+// step (the choice bits are the weight bits, known up front; see
+// precomp.ReceiverPool.IssueAll), then releases the turn. A failed issue holds the turn — the OT state is
+// desynchronized from the garbler, and handing it on would only
+// manufacture a second, misleading error; teardown's Abort unblocks any
+// waiter instead.
+func (en *batchEvalEngine) issueOTs() error {
+	steps, err := stepChoices(en.sched, en.inputBits, en.b)
+	if err != nil {
+		return err
+	}
+	if en.seq != nil {
+		if err := en.seq.Acquire(en.seqTurn); err != nil {
+			return err
+		}
+	}
+	prs, err := en.ots.IssueAll(steps)
+	if err != nil {
+		return err
+	}
+	if en.seq != nil {
+		en.seq.Release(en.seqTurn)
+	}
+	en.prs = prs
 	return nil
 }
 
@@ -656,58 +627,16 @@ func (en *batchEvalEngine) doInputs(st *circuit.Step) error {
 		}
 		return nil
 	}
-	if en.spec {
-		if en.stepsDone == 0 {
-			prs, err := speculativeIssue(en.ots, en.seq, en.seqTurn, en.sched, en.inputBits, en.b)
-			if err != nil {
-				return err
-			}
-			en.specPrs = prs
-		}
-		pr := en.specPrs[en.stepsDone]
-		en.stepsDone++
-		msgs, err := pr.Collect()
-		if err != nil {
-			return err
-		}
-		en.cursor += len(st.Wires)
-		for i, w := range st.Wires {
-			for s := 0; s < en.b; s++ {
-				en.e.SetLabel(w, s, gc.Label(msgs[i*en.b+s]))
-			}
-		}
-		return nil
-	}
 	// One OT batch covers all B samples of the step: every sample selects
 	// with the same weight bit, each receiving its own sample's label.
-	choices := make([]bool, len(st.Wires)*en.b)
-	for i := range st.Wires {
-		if en.cursor >= len(en.inputBits) {
-			return fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
-		}
-		bit := en.inputBits[en.cursor]
-		en.cursor++
-		for s := 0; s < en.b; s++ {
-			choices[i*en.b+s] = bit
-		}
-	}
-	if en.seq != nil && en.stepsDone == 0 {
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
+	if en.prs == nil {
+		if err := en.issueOTs(); err != nil {
 			return err
 		}
 	}
-	msgs, err := en.ots.Receive(choices)
-	if en.seq != nil {
-		en.stepsDone++
-		// Only pass the turn on after a clean final exchange: a failed
-		// exchange leaves the pool desynchronized from the garbler, and
-		// handing it to the next inference would just manufacture a
-		// second, misleading desync error. Teardown's Abort unblocks any
-		// waiters instead.
-		if err == nil && en.stepsDone == en.evalSteps {
-			en.seq.Release(en.seqTurn)
-		}
-	}
+	pr := en.prs[en.stepsDone]
+	en.stepsDone++
+	msgs, err := pr.Collect()
 	if err != nil {
 		return err
 	}

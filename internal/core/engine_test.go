@@ -41,13 +41,15 @@ func TestScheduleTableSizePin(t *testing.T) {
 
 // logHalf is one direction of an in-memory duplex pipe that also records
 // every byte written, so tests can compare the exact wire traffic of two
-// protocol runs.
+// protocol runs. A nonzero limit bounds the unread bytes, like a socket
+// buffer: a write blocks until the reader makes room.
 type logHalf struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []byte
 	log    bytes.Buffer
 	closed bool
+	limit  int
 }
 
 func newLogHalf() *logHalf {
@@ -59,13 +61,24 @@ func newLogHalf() *logHalf {
 func (h *logHalf) Write(b []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return 0, io.ErrClosedPipe
+	n := 0
+	for n < len(b) {
+		for h.limit > 0 && len(h.buf) >= h.limit && !h.closed {
+			h.cond.Wait()
+		}
+		if h.closed {
+			return n, io.ErrClosedPipe
+		}
+		k := len(b) - n
+		if h.limit > 0 {
+			k = min(k, h.limit-len(h.buf))
+		}
+		h.buf = append(h.buf, b[n:n+k]...)
+		h.log.Write(b[n : n+k])
+		n += k
+		h.cond.Broadcast()
 	}
-	h.buf = append(h.buf, b...)
-	h.log.Write(b)
-	h.cond.Broadcast()
-	return len(b), nil
+	return n, nil
 }
 
 func (h *logHalf) Read(b []byte) (int, error) {
@@ -79,6 +92,7 @@ func (h *logHalf) Read(b []byte) (int, error) {
 	}
 	n := copy(b, h.buf)
 	h.buf = h.buf[n:]
+	h.cond.Broadcast()
 	return n, nil
 }
 
@@ -228,7 +242,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 		}
 		en := &batchEvalEngine{
 			sched: sched,
-			pool:  gc.NewPool(cfg.workers()),
+			pool:  cfg.newPool(),
 			conn:  eConn,
 			ots:   precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{}),
 			cfg:   cfg,
@@ -251,7 +265,6 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			e.SetLabel(circuit.WFalse, 0, lf)
 			e.SetLabel(circuit.WTrue, 0, lt)
 			en.e = e
-			en.cursor = 0
 			en.inputBits = eBits
 			en.outLabels = en.outLabels[:0]
 			if err := en.run(); err != nil {
@@ -338,11 +351,11 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	return outs, gToE.bytesWritten(), eToG.bytesWritten()
 }
 
-// engineTestConfig is the runEngines baseline configuration: dedicated
-// per-engine pools (the pre-shared behavior) and small chunks so a run
-// produces many frames.
+// engineTestConfig is the runEngines configuration: the given fan-out
+// over the shared scheduler and small chunks so a run produces many
+// frames.
 func engineTestConfig(workers int) EngineConfig {
-	return EngineConfig{Workers: workers, ChunkBytes: 512, PrivatePool: true}
+	return EngineConfig{Workers: workers, ChunkBytes: 512}
 }
 
 // TestEngineConformance is the cross-mode property test: random recycled
@@ -445,12 +458,12 @@ func TestEngineSessionConformance(t *testing.T) {
 	}
 }
 
-// TestEngineSharedPoolConformance is the tentpole's byte-determinism
-// proof at the session-engine layer: for workers∈{1,2,4}, the shared
-// scheduler pool must produce wire streams byte-identical to the
-// dedicated per-session pool baseline, with 1, 2, and 4 sessions
-// running concurrently on the one process-wide scheduler. Run with
-// -race: concurrent sessions steal chunks from each other's regions.
+// TestEngineSharedPoolConformance is the byte-determinism proof for the
+// shared scheduler at the session-engine layer: for workers∈{1,2,4},
+// 1, 2, and 4 sessions running concurrently on the one process-wide
+// scheduler must each produce wire streams byte-identical to one lone
+// session's. Run with -race: concurrent sessions steal chunks from each
+// other's regions.
 func TestEngineSharedPoolConformance(t *testing.T) {
 	r := rand.New(rand.NewSource(424))
 	tape, nG, nE := randomEngineTape(r)
@@ -469,10 +482,8 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 	const nInfer = 2
 	seed := int64(88000)
 	for _, w := range []int{1, 2, 4} {
-		private := engineTestConfig(w)
-		_, wantG2E, wantE2G := runEngines(t, sched, gBits, eBits, private, nInfer, seed)
-		shared := private
-		shared.PrivatePool = false
+		cfg := engineTestConfig(w)
+		_, wantG2E, wantE2G := runEngines(t, sched, gBits, eBits, cfg, nInfer, seed)
 		for _, sessions := range []int{1, 2, 4} {
 			g2e := make([][]byte, sessions)
 			e2g := make([][]byte, sessions)
@@ -481,7 +492,7 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
-					_, g2e[s], e2g[s] = runEngines(t, sched, gBits, eBits, shared, nInfer, seed)
+					_, g2e[s], e2g[s] = runEngines(t, sched, gBits, eBits, cfg, nInfer, seed)
 				}(s)
 			}
 			wg.Wait()
@@ -490,10 +501,10 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 			}
 			for s := 0; s < sessions; s++ {
 				if !bytes.Equal(wantG2E, g2e[s]) {
-					t.Fatalf("workers=%d sessions=%d: session %d garbler stream differs from private-pool baseline", w, sessions, s)
+					t.Fatalf("workers=%d sessions=%d: session %d garbler stream differs from the lone-session baseline", w, sessions, s)
 				}
 				if !bytes.Equal(wantE2G, e2g[s]) {
-					t.Fatalf("workers=%d sessions=%d: session %d evaluator stream differs from private-pool baseline", w, sessions, s)
+					t.Fatalf("workers=%d sessions=%d: session %d evaluator stream differs from the lone-session baseline", w, sessions, s)
 				}
 			}
 		}
@@ -541,12 +552,13 @@ func TestEvalEngineDeadPeer(t *testing.T) {
 		}
 		e.SetLabel(circuit.WFalse, 0, gc.Label{1})
 		e.SetLabel(circuit.WTrue, 0, gc.Label{2})
+		cfg := EngineConfig{Workers: workers}
 		en := &batchEvalEngine{
 			sched: sched,
 			e:     e,
-			pool:  gc.NewPool(workers),
+			pool:  cfg.newPool(),
 			conn:  eConn,
-			cfg:   EngineConfig{Workers: workers},
+			cfg:   cfg,
 			b:     1,
 		}
 		done := make(chan error, 1)

@@ -125,3 +125,81 @@ func TestWireTranscriptGolden(t *testing.T) {
 		t.Errorf("evaluator→garbler transcript sha256 %s, golden %s", got, goldenE2G)
 	}
 }
+
+// Golden digests of TestWireTranscriptGoldenPoolOff's recorded run:
+// the same seeds and deterministic configuration with the OT pool off,
+// so every evaluator-input step runs direct IKNP (one MsgOTExtU each
+// way, answered by one MsgOTExtY).
+const (
+	goldenPoolOffG2E = "3d2d4b2deaf828e7fc655482c3311b61d46ef95e3cf69c5e4a3cee81eded47e6"
+	goldenPoolOffE2G = "87e3d94981151b89c9c2c56bdffca3559fcde3b6afba66499f78e189859866d8"
+)
+
+// TestWireTranscriptGoldenPoolOff pins the pool-off bytes across commits
+// the way TestWireTranscriptGolden pins the pooled ones: one fixed-seed
+// session with a zero PoolConfig carrying three single inferences and a
+// batch of two.
+func TestWireTranscriptGoldenPoolOff(t *testing.T) {
+	net := testNet(t, act.ReLU, 61)
+	rng := rand.New(rand.NewSource(62))
+	xs := make([][]float64, 5)
+	for i := range xs {
+		xs[i] = make([]float64, 6)
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	f := fixed.Default
+
+	gToE, eToG := newLogHalf(), newLogHalf()
+	cConn := transport.New(logDuplex{r: eToG, w: gToE})
+	sConn := transport.New(logDuplex{r: gToE, w: eToG})
+	cfg := EngineConfig{Workers: 1, Pipeline: 1, ChunkBytes: 2048}
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(8803)), Engine: cfg}
+	var srvErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, srvErr = srv.ServeSession(sConn)
+	}()
+
+	var labels []int
+	cli := &Client{Rng: rand.New(rand.NewSource(8804)), Engine: cfg}
+	sess, err := cli.NewSession(cConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		label, _, err := sess.Infer(xs[i])
+		if err != nil {
+			t.Fatalf("inference %d: %v", i, err)
+		}
+		labels = append(labels, label)
+	}
+	batch, _, err := sess.InferBatch(xs[3:5])
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	labels = append(labels, batch...)
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if srvErr != nil {
+		t.Fatalf("server: %v", srvErr)
+	}
+	for i, x := range xs {
+		if want := net.PredictFixed(f, x); labels[i] != want {
+			t.Fatalf("sample %d: label %d, plaintext %d", i, labels[i], want)
+		}
+	}
+
+	g2e := sha256.Sum256(gToE.bytesWritten())
+	e2g := sha256.Sum256(eToG.bytesWritten())
+	if got := hex.EncodeToString(g2e[:]); got != goldenPoolOffG2E {
+		t.Errorf("garbler→evaluator transcript sha256 %s, golden %s", got, goldenPoolOffG2E)
+	}
+	if got := hex.EncodeToString(e2g[:]); got != goldenPoolOffE2G {
+		t.Errorf("evaluator→garbler transcript sha256 %s, golden %s", got, goldenPoolOffE2G)
+	}
+}

@@ -71,7 +71,7 @@ type muxConn struct {
 }
 
 func newMuxConn(conn *transport.Conn) *muxConn {
-	return &muxConn{conn: conn, otCh: make(chan frame, 2), stop: make(chan struct{})}
+	return &muxConn{conn: conn, stop: make(chan struct{})}
 }
 
 func (m *muxConn) Send(t transport.MsgType, payload []byte) error {
@@ -196,17 +196,14 @@ type sessionMux struct {
 	cfg   EngineConfig
 
 	weightBits []bool
-	evalSteps  int       // evaluator-input steps per inference (from the schedule)
-	spec       bool      // speculative OT issue/collect is active this session
 	wd         *watchdog // session phase watchdog (nil = no deadlines armed)
 
-	events     chan muxEvent
-	stop       chan struct{}
-	ctxs       map[uint64]*evalCtx
-	sharedPool *gc.Pool      // one shared-scheduler pool for every context, nil in private mode
-	pools      chan *gc.Pool // private mode: circulating per-context pools
-	bufs       chan []byte   // recycled table-pending buffers, see getBuf
-	spawned    int           // reader-owned until readerDone, then main-owned
+	events  chan muxEvent
+	stop    chan struct{}
+	ctxs    map[uint64]*evalCtx
+	pool    *gc.Pool    // one shared-scheduler pool for every context
+	bufs    chan []byte // recycled table-pending buffers, see getBuf
+	spawned int         // reader-owned until readerDone, then main-owned
 
 	// In-flight accounting for Stats: time with ≥2 inferences active is
 	// the session's measured overlap. gateTime and the gate counters
@@ -222,47 +219,39 @@ type sessionMux struct {
 	freeGates    int64
 }
 
-func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
-	evalSteps := 0
+// evalInputSteps counts a schedule's evaluator-input steps — one OT
+// batch, so one request and one response, per step per inference.
+func evalInputSteps(sched *circuit.Schedule) int {
+	n := 0
 	for i := range sched.Steps {
-		st := &sched.Steps[i]
-		if st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
-			evalSteps++
+		if st := &sched.Steps[i]; st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
+			n++
 		}
 	}
+	return n
+}
+
+func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
 	depth := srv.Engine.pipeline()
-	// Speculative OT needs pooled entries to issue against and at least
-	// one evaluator-input step to speculate on; otherwise it degrades to
-	// the strict per-inference order with zero behavior change.
-	spec := srv.Engine.SpeculativeOT && otp.Pooled() && evalSteps > 0
-	if spec {
-		// Every in-flight inference may have all of its responses routed
-		// but uncollected at once; resize the OT inbox so legitimate
-		// speculative traffic never trips the unsolicited-frame check.
-		// Safe here: the mux is not started, no reader routes yet.
-		mc.otCh = make(chan frame, 2+depth*evalSteps)
-	}
-	var sharedPool *gc.Pool
-	if !srv.Engine.PrivatePool {
-		sharedPool = srv.Engine.newPool()
-	}
+	// Every in-flight inference may have all of its OT responses routed
+	// but uncollected at once; size the OT inbox so legitimate issued
+	// flights never trip the unsolicited-frame check. The inbox exists
+	// from here on: only a started mux routes OT frames.
+	mc.otCh = make(chan frame, 2+depth*evalInputSteps(sched))
 	return &sessionMux{
 		srv:        srv,
 		conn:       conn,
 		mc:         mc,
 		otp:        otp,
-		sharedPool: sharedPool,
+		pool:       srv.Engine.newPool(),
 		seqr:       precomp.NewSequencer(1),
 		win:        transport.NewWindow(depth),
 		sched:      sched,
 		cfg:        srv.Engine,
 		weightBits: weightBits,
-		evalSteps:  evalSteps,
-		spec:       spec,
 		events:     make(chan muxEvent, 1),
 		stop:       mc.stop,
 		ctxs:       make(map[uint64]*evalCtx, depth),
-		pools:      make(chan *gc.Pool, depth),
 		bufs:       make(chan []byte, depth),
 	}
 }
@@ -278,7 +267,7 @@ func (m *sessionMux) run(st *Stats) error {
 	m.mc.started = true
 	go m.readLoop()
 	defer m.seqr.Abort() // unblock any context still gated on the pool order
-	defer m.otp.Abort()  // and any speculative collector gated on the ticket order
+	defer m.otp.Abort()  // and any OT collector gated on the ticket order
 	defer close(m.stop)
 
 	done := 0
@@ -451,10 +440,10 @@ func (m *sessionMux) readLoop() {
 				stall.Stop()
 			}
 		case transport.MsgOTExtY, transport.MsgOTDerandM:
-			// OT exchanges are strictly request/response and serialized
-			// by the pool order, so at most one response is legitimately
-			// in flight; a frame that doesn't fit the (deliberately
-			// slack) buffer was never requested.
+			// Every OT response answers an issued request, and at most
+			// depth inferences' flights are issued at once; a frame that
+			// doesn't fit the (deliberately slack) buffer sized for that
+			// was never requested.
 			select {
 			case m.mc.otCh <- frame{typ, payload}:
 			default:
@@ -533,34 +522,6 @@ func (m *sessionMux) endInFlight() {
 	m.inFlight--
 }
 
-// getPool hands a context its worker pool. In shared mode one
-// scheduler-backed pool serves every in-flight context (its batch calls
-// carry no per-call state, so concurrent contexts are safe — chunks all
-// land on the process-wide worker set). In private mode up to
-// window-depth dedicated pools circulate, because a private gc.Pool's
-// batch calls are exclusive per caller.
-func (m *sessionMux) getPool() *gc.Pool {
-	if m.sharedPool != nil {
-		return m.sharedPool
-	}
-	select {
-	case p := <-m.pools:
-		return p
-	default:
-		return gc.NewPool(m.cfg.workers())
-	}
-}
-
-func (m *sessionMux) putPool(p *gc.Pool) {
-	if m.sharedPool != nil {
-		return
-	}
-	select {
-	case m.pools <- p:
-	default:
-	}
-}
-
 // getBuf takes a recycled table-pending buffer (the evaluation engine's
 // level-assembly scratch) or starts a fresh one; up to window-depth
 // buffers circulate, so a long session reallocates none after warm-up
@@ -635,12 +596,10 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	if err != nil {
 		return err
 	}
-	pool := m.getPool()
-	defer m.putPool(pool)
 	en := &batchEvalEngine{
 		sched:     m.sched,
 		e:         e,
-		pool:      pool,
+		pool:      m.pool,
 		conn:      view,
 		ots:       m.otp,
 		cfg:       m.cfg,
@@ -648,8 +607,6 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 		inputBits: m.weightBits,
 		seq:       m.seqr,
 		seqTurn:   int64(c.id),
-		evalSteps: m.evalSteps,
-		spec:      m.spec,
 		progress:  &m.conn.Progress,
 		pending:   m.getBuf(),
 	}

@@ -158,7 +158,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			evalDone <- err
 			return
 		}
-		pool := gc.NewPool(1)
+		pool := cfg.newPool()
 		for range xs {
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
 			if err != nil {
@@ -214,7 +214,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	if err := otp.HandleAnnounce(); err != nil {
 		t.Fatal(err)
 	}
-	pool := gc.NewPool(1)
+	pool := cfg.newPool()
 	for _, x := range xs {
 		bits := make([]bool, 0, len(x)*f.Bits())
 		for _, v := range x {
@@ -599,11 +599,19 @@ func TestPipelineStatsOverlap(t *testing.T) {
 // backstop: OT response frames nobody requested must error the session
 // out instead of wedging the demux reader behind a full routing channel
 // (which would pin the connection beyond the reach of idle timeouts).
+// The OT inbox holds 2 + depth×evalSteps frames — every in-flight
+// inference's issued flight, uncollected — so one frame past that slack
+// must be refused.
 func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	net := testNet(t, act.ReLU, 70)
+	prog, err := netgen.Compile(net, fixed.Default, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
 	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(88))}
+	slack := 2 + srv.Engine.PipelineDepth()*evalInputSteps(prog.Schedule)
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -616,7 +624,7 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < slack+1; i++ {
 		if err := sess.conn.Send(transport.MsgOTDerandM, []byte("nobody asked")); err != nil {
 			t.Fatal(err)
 		}
@@ -631,11 +639,13 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 }
 
 // TestPipelineMidOTDisconnectTerminates pins the teardown path where the
-// client vanishes while inference 1 holds the OT pool turn mid-exchange
-// and inference 2 is gated behind it in Sequencer.Acquire: the turn is
-// never Released (a failed exchange deliberately skips it), so unless
-// run() aborts the sequencer eagerly on reader death, inference 2 never
-// wakes, never emits its event, and ServeSession hangs forever.
+// client vanishes while inference 1 is mid-OT on a pool-off server:
+// either still issuing its flight of U matrices — holding the OT pool
+// turn, with inference 2 gated behind it in Sequencer.Acquire (a failed
+// issue deliberately skips Release) — or parked in Collect with
+// inference 2 behind it in the ticket gate. Unless run() aborts both
+// gates eagerly on reader death, inference 2 never wakes, never emits
+// its event, and ServeSession hangs forever.
 func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
@@ -656,9 +666,8 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	// Hand-craft two inference sub-streams that each walk the server's
 	// context exactly to its first evaluator-input step (the same program
 	// the server schedules from, so frame sizes line up; label contents
-	// are irrelevant — evaluation never starts). Context 1 then sends its
-	// OT request and waits for the response; context 2 blocks in
-	// Acquire(2) behind the held turn.
+	// are irrelevant — evaluation never starts). Context 1 issues its OT
+	// flight and waits for the responses; context 2 queues behind it.
 	prog, err := netgen.Compile(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -688,8 +697,8 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until inference 1's OT request is on the wire — its context
-	// now holds the pool turn — then disconnect without answering.
+	// Wait until inference 1's first OT request is on the wire, then
+	// disconnect without answering.
 	for {
 		typ, _, err := cConn.ReadFrame()
 		if err != nil {

@@ -237,7 +237,9 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // concurrently, overlapping one inference's evaluation tail and output
 // round-trip with the next one's garbled stream. Returns per-session
 // statistics. On a torn-down session the demux reader goroutine may
-// survive until the caller closes the underlying connection.
+// survive until the caller closes the underlying connection. conn must
+// buffer at least 4 KiB each way, as TCP does: up to that many OT
+// request bytes go out ahead of the client's walk.
 func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	start := time.Now()
 	sent0, recv0 := conn.BytesSent.Load(), conn.BytesReceived.Load()
@@ -332,9 +334,22 @@ type Client struct {
 	Engine EngineConfig
 
 	mu    sync.Mutex
-	progs map[string]*netgen.Program
+	progs map[string]*progEntry
 	banks map[string]*bank.Bank
 }
+
+// progEntry is one spec's compiled program: the first session to need it
+// compiles it while every concurrent session for the same spec waits on
+// once, so a burst of first sessions compiles once, not once each.
+type progEntry struct {
+	once sync.Once
+	prog *netgen.Program
+	err  error
+}
+
+// compileProgram is the client's netlist compiler; a test seam for
+// counting compiles.
+var compileProgram = netgen.Compile
 
 // bankFor returns the client's garble-ahead bank for the given spec,
 // creating it (empty — sessions fill it) on first use. Like the
@@ -369,32 +384,24 @@ func (c *Client) Close() {
 	}
 }
 
-// program returns the compiled tape for the given public spec, compiling
-// at most once per distinct spec.
+// program returns the compiled tape for the given public spec,
+// compiling at most once per distinct spec however many sessions ask
+// for it concurrently. Compilation is deterministic, so a failure is
+// cached like a success.
 func (c *Client) program(specData []byte, net *nn.Network, f fixed.Format) (*netgen.Program, error) {
 	key := string(specData)
 	c.mu.Lock()
-	prog, ok := c.progs[key]
-	c.mu.Unlock()
-	if ok {
-		return prog, nil
-	}
-	prog, err := netgen.Compile(net, f, netgen.Options{})
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.progs == nil {
-		c.progs = make(map[string]*netgen.Program)
-	}
-	// Keep whichever compile won the race; they are identical.
-	if prior, ok := c.progs[key]; ok {
-		prog = prior
-	} else {
-		c.progs[key] = prog
+	e, ok := c.progs[key]
+	if !ok {
+		if c.progs == nil {
+			c.progs = make(map[string]*progEntry)
+		}
+		e = &progEntry{}
+		c.progs[key] = e
 	}
 	c.mu.Unlock()
-	return prog, nil
+	e.once.Do(func() { e.prog, e.err = compileProgram(net, f, netgen.Options{}) })
+	return e.prog, e.err
 }
 
 // Session is an open multi-inference protocol session from the client

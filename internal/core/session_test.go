@@ -3,11 +3,14 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/netgen"
+	"deepsecure/internal/nn"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -287,5 +290,61 @@ func TestClientProgramCacheSharedAcrossSessions(t *testing.T) {
 	}
 	if n := len(cli.progs); n != 1 {
 		t.Fatalf("client cached %d programs, want 1", n)
+	}
+}
+
+// TestClientProgramSingleFlight opens N sessions concurrently on a fresh
+// Client: the first-session compile must run exactly once, with every
+// other session waiting for it, and all N must share the one
+// *netgen.Program.
+func TestClientProgramSingleFlight(t *testing.T) {
+	var compiles atomic.Int64
+	prev := compileProgram
+	compileProgram = func(net *nn.Network, f fixed.Format, opts netgen.Options) (*netgen.Program, error) {
+		compiles.Add(1)
+		return prev(net, f, opts)
+	}
+	defer func() { compileProgram = prev }()
+
+	const n = 8
+	net := testNet(t, act.ReLU, 25)
+	srv := &Server{Net: net, Fmt: fixed.Default}
+	cli := &Client{}
+	sessions := make([]*Session, n)
+	errs := make([]error, n)
+	var wg, srvWG sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cConn, sConn, closer := transport.Pipe()
+		defer closer.Close()
+		srvWG.Add(1)
+		go func() {
+			defer srvWG.Done()
+			if _, err := srv.ServeSession(sConn); err != nil {
+				t.Errorf("server %d: %v", i, err)
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sessions[i], errs[i] = cli.NewSession(cConn)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	for i, s := range sessions {
+		if s.prog != sessions[0].prog {
+			t.Errorf("session %d got program %p, session 0 got %p", i, s.prog, sessions[0].prog)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("close session %d: %v", i, err)
+		}
+	}
+	srvWG.Wait()
+	if got := compiles.Load(); got != 1 {
+		t.Fatalf("%d concurrent first sessions compiled %d times, want 1", n, got)
 	}
 }

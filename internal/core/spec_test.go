@@ -17,16 +17,27 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// specSessionRun runs a full session with SpeculativeOT set on the
-// server and returns the inference labels.
-func specSessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, depth int, spec bool, cliSeed, srvSeed int64) []int {
+// specPools are the OT policies the issued-flight tests run under: a
+// roomy pool, a tiny one whose mid-session refills go through the
+// drain barrier, and the pool off (every request a direct-IKNP U
+// matrix).
+var specPools = []struct {
+	name string
+	cfg  precomp.PoolConfig
+}{
+	{"poolOn", precomp.PoolConfig{Capacity: 8192, RefillLowWater: 512}},
+	{"tiny", precomp.PoolConfig{Capacity: 64, RefillLowWater: 16}},
+	{"poolOff", precomp.PoolConfig{}},
+}
+
+// specSessionRun runs a full pipelined session and returns the
+// inference labels.
+func specSessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, depth int, cliSeed, srvSeed int64) []int {
 	t.Helper()
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
 	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048, Pipeline: depth}
-	srvCfg := cfg
-	srvCfg.SpeculativeOT = spec
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: srvCfg, OTPool: poolCfg}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg, OTPool: poolCfg}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -46,15 +57,14 @@ func specSessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg preco
 	return labels
 }
 
-// TestSpeculativeOTSessionConformance pins the speculative-consumption
-// acceptance criterion end to end: with SpeculativeOT on the server —
-// every inference's derandomization corrections issued in one flight at
-// its first evaluator step, pool turn released immediately — the labels
-// must match both the plaintext reference and the strict-order run,
-// across pipeline depths and pool policies (the tiny pool forces
-// mid-session refills through the speculative drain barrier). The
-// client needs no configuration: its sender loop already drains
-// corrections at its own pace.
+// TestSpeculativeOTSessionConformance pins issued-flight OT consumption
+// end to end: every inference issues all of its evaluator-input steps'
+// OT requests in one flight and releases the pool turn at once, and the
+// labels must match the plaintext reference across pipeline depths and
+// OT policies (the tiny pool forces mid-session refills through the
+// drain barrier; pool off issues direct-IKNP U matrices). The client
+// needs no configuration: its sender loop answers requests at its own
+// pace.
 func TestSpeculativeOTSessionConformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 141)
 	f := fixed.Default
@@ -68,36 +78,22 @@ func TestSpeculativeOTSessionConformance(t *testing.T) {
 		}
 		want[i] = net.PredictFixed(f, xs[i])
 	}
-	// The speculation needs multiple evaluator-input steps to be more
-	// than a rename; make sure the test net actually provides them.
+	// One flight needs multiple evaluator-input steps to be more than a
+	// single exchange; make sure the test net actually provides them.
 	prog, err := netgen.Compile(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalSteps := 0
-	for i := range prog.Schedule.Steps {
-		st := &prog.Schedule.Steps[i]
-		if st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
-			evalSteps++
-		}
+	if n := evalInputSteps(prog.Schedule); n < 2 {
+		t.Fatalf("test net schedules %d evaluator-input steps; need >= 2 to exercise issue-all", n)
 	}
-	if evalSteps < 2 {
-		t.Fatalf("test net schedules %d evaluator-input steps; need >= 2 to exercise speculation", evalSteps)
-	}
-	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"poolOn": {Capacity: 8192, RefillLowWater: 512},
-		"tiny":   {Capacity: 64, RefillLowWater: 16},
-	} {
-		t.Run(name, func(t *testing.T) {
-			for _, depth := range []int{2, 3} {
-				specLabels := specSessionRun(t, net, xs, poolCfg, depth, true, 9931, 9932)
-				strictLabels := specSessionRun(t, net, xs, poolCfg, depth, false, 9931, 9932)
+	for _, pc := range specPools {
+		t.Run(pc.name, func(t *testing.T) {
+			for _, depth := range []int{1, 2, 3} {
+				labels := specSessionRun(t, net, xs, pc.cfg, depth, 9931, 9932)
 				for i := range xs {
-					if specLabels[i] != want[i] {
-						t.Fatalf("depth %d sample %d: speculative label %d, plaintext %d", depth, i, specLabels[i], want[i])
-					}
-					if specLabels[i] != strictLabels[i] {
-						t.Fatalf("depth %d sample %d: speculative label %d, strict-order label %d", depth, i, specLabels[i], strictLabels[i])
+					if labels[i] != want[i] {
+						t.Fatalf("depth %d sample %d: label %d, plaintext %d", depth, i, labels[i], want[i])
 					}
 				}
 			}
@@ -105,9 +101,9 @@ func TestSpeculativeOTSessionConformance(t *testing.T) {
 	}
 }
 
-// TestSpeculativeOTBatch runs a batched inference against a speculative
-// server: the batch issues its ×B-expanded corrections in one flight
-// and must still decode every sample correctly.
+// TestSpeculativeOTBatch runs a batched inference with the pool on and
+// off: the batch issues its ×B-expanded requests in one flight and must
+// still decode every sample correctly.
 func TestSpeculativeOTBatch(t *testing.T) {
 	net := testNet(t, act.ReLU, 145)
 	f := fixed.Default
@@ -121,52 +117,71 @@ func TestSpeculativeOTBatch(t *testing.T) {
 		}
 		want[i] = net.PredictFixed(f, xs[i])
 	}
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(147)),
-		Engine: EngineConfig{Workers: 1, SpeculativeOT: true},
-		OTPool: precomp.PoolConfig{Capacity: 4096}}
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, srvErr = srv.ServeSession(sConn)
-	}()
-	cli := &Client{Rng: rand.New(rand.NewSource(148)), Engine: EngineConfig{Workers: 1}}
-	labels, _, err := cli.InferBatch(cConn, xs)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
-	}
-	for i := range xs {
-		if labels[i] != want[i] {
-			t.Fatalf("sample %d: batch label %d, plaintext %d", i, labels[i], want[i])
-		}
+	for _, pc := range []struct {
+		name string
+		cfg  precomp.PoolConfig
+	}{{"poolOn", precomp.PoolConfig{Capacity: 4096}}, {"poolOff", precomp.PoolConfig{}}} {
+		t.Run(pc.name, func(t *testing.T) {
+			cConn, sConn, closer := transport.Pipe()
+			defer closer.Close()
+			srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(147)),
+				Engine: EngineConfig{Workers: 1}, OTPool: pc.cfg}
+			var wg sync.WaitGroup
+			var srvErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, srvErr = srv.ServeSession(sConn)
+			}()
+			cli := &Client{Rng: rand.New(rand.NewSource(148)), Engine: EngineConfig{Workers: 1}}
+			labels, _, err := cli.InferBatch(cConn, xs)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("client: %v", err)
+			}
+			if srvErr != nil {
+				t.Fatalf("server: %v", srvErr)
+			}
+			for i := range xs {
+				if labels[i] != want[i] {
+					t.Fatalf("sample %d: batch label %d, plaintext %d", i, labels[i], want[i])
+				}
+			}
+		})
 	}
 }
 
-// TestSpeculativeMidOTDisconnectTerminates is the speculative analogue
+// TestSpeculativeMidOTDisconnectTerminates is the issued-flight analogue
 // of TestPipelineMidOTDisconnectTerminates: the client vanishes while
-// inference 1 is parked in Collect (its corrections issued, the
-// response never sent) and inference 2 is parked behind it in the
-// ticket gate. Teardown must Abort the pool's speculative state — not
-// just the turn sequencer — or the parked collectors never wake and
-// ServeSession hangs.
+// inference 1 is parked in Collect (its requests issued, the response
+// never sent) and inference 2 is parked behind it in the ticket gate.
+// Teardown must Abort the pool's collect state — not just the turn
+// sequencer — or the parked collectors never wake and ServeSession
+// hangs. Pool on, the first request is a correction frame; pool off, a
+// U matrix.
 func TestSpeculativeMidOTDisconnectTerminates(t *testing.T) {
+	for _, pc := range []struct {
+		name  string
+		cfg   precomp.PoolConfig
+		first transport.MsgType
+	}{
+		{"poolOn", precomp.PoolConfig{Capacity: 4096}, transport.MsgOTDerandC},
+		{"poolOff", precomp.PoolConfig{}, transport.MsgOTExtU},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			midOTDisconnect(t, pc.cfg, pc.first)
+		})
+	}
+}
+
+func midOTDisconnect(t *testing.T, poolCfg precomp.PoolConfig, first transport.MsgType) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 150)
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
 	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048, Pipeline: 2}
-	srvCfg := cfg
-	srvCfg.SpeculativeOT = true
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(151)), Engine: srvCfg,
-		OTPool: precomp.PoolConfig{Capacity: 4096}}
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(151)), Engine: cfg, OTPool: poolCfg}
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.ServeSession(sConn)
@@ -205,15 +220,14 @@ func TestSpeculativeMidOTDisconnectTerminates(t *testing.T) {
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until inference 1's speculative corrections are on the wire —
-	// its context is now parked in Collect — then disconnect without
-	// answering.
+	// Wait until inference 1's requests are on the wire — its context is
+	// now parked in Collect — then disconnect without answering.
 	for {
 		typ, _, err := cConn.ReadFrame()
 		if err != nil {
 			t.Fatalf("reading server frames: %v", err)
 		}
-		if typ == transport.MsgOTDerandC {
+		if typ == first {
 			break
 		}
 	}
@@ -227,4 +241,93 @@ func TestSpeculativeMidOTDisconnectTerminates(t *testing.T) {
 		t.Fatal("ServeSession did not terminate after a mid-OT disconnect")
 	}
 	checkLeaks()
+}
+
+// TestOTFlightSmallSocketBuffers runs a batched inference over a pipe
+// that, like a socket buffer, holds at most 4 KiB unread per direction.
+// The garbler reads a step's request only when its walk reaches the
+// step, and until then streams tables the evaluator must keep reading;
+// an evaluator that blocked writing later steps' requests ahead of time
+// would wedge both directions. Pool on the requests are 1-bit-per-OT
+// corrections, pool off 16-byte-per-OT U matrices; either way only
+// flightCap bytes, frame headers included, may go out ahead. The wide
+// model's later evaluator-input steps need far more request bytes than
+// the pipe holds; the deep one has many small steps, so many frames.
+func TestOTFlightSmallSocketBuffers(t *testing.T) {
+	wide, err := nn.NewNetwork(nn.Vec(4),
+		nn.NewDense(4),
+		nn.NewActivation(act.ReLU),
+		nn.NewDense(32),
+		nn.NewActivation(act.ReLU),
+		nn.NewDense(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepLayers := []nn.Layer{}
+	for i := 0; i < 8; i++ {
+		deepLayers = append(deepLayers, nn.NewDense(2), nn.NewActivation(act.ReLU))
+	}
+	deep, err := nn.NewNetwork(nn.Vec(4), append(deepLayers, nn.NewDense(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi, mc := range []struct {
+		name  string
+		model *nn.Network
+	}{{"wide", wide}, {"deep", deep}} {
+		model := mc.model
+		model.InitWeights(rand.New(rand.NewSource(int64(160 + 2*mi))))
+		rng := rand.New(rand.NewSource(int64(161 + 2*mi)))
+		xs := make([][]float64, 16)
+		for i := range xs {
+			xs[i] = make([]float64, 4)
+			for j := range xs[i] {
+				xs[i][j] = rng.Float64()*2 - 1
+			}
+		}
+		for _, pc := range []struct {
+			name string
+			cfg  precomp.PoolConfig
+		}{{"poolOn", precomp.PoolConfig{Capacity: 1 << 16}}, {"poolOff", precomp.PoolConfig{}}} {
+			t.Run(mc.name+"/"+pc.name, func(t *testing.T) {
+				gToE, eToG := newLogHalf(), newLogHalf()
+				gToE.limit, eToG.limit = 4<<10, 4<<10
+				defer gToE.close()
+				defer eToG.close()
+				srv := &Server{Net: model, Fmt: fixed.Default, Engine: EngineConfig{Workers: 1}, OTPool: pc.cfg}
+				srvDone := make(chan error, 1)
+				go func() {
+					_, err := srv.ServeSession(transport.New(logDuplex{r: gToE, w: eToG}))
+					srvDone <- err
+				}()
+				type result struct {
+					labels []int
+					err    error
+				}
+				cliDone := make(chan result, 1)
+				go func() {
+					cli := &Client{Engine: EngineConfig{Workers: 1}}
+					labels, _, err := cli.InferBatch(transport.New(logDuplex{r: eToG, w: gToE}), xs)
+					cliDone <- result{labels, err}
+				}()
+				select {
+				case r := <-cliDone:
+					if r.err != nil {
+						t.Fatalf("client: %v", r.err)
+					}
+					for i, x := range xs {
+						if want := model.PredictFixed(fixed.Default, x); r.labels[i] != want {
+							t.Fatalf("sample %d: label %d, plaintext %d", i, r.labels[i], want)
+						}
+					}
+				case <-time.After(60 * time.Second):
+					t.Fatal("batched inference wedged over 4 KiB buffers")
+				}
+				if err := <-srvDone; err != nil {
+					t.Fatalf("server: %v", err)
+				}
+			})
+		}
+	}
 }

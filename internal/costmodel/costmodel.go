@@ -86,7 +86,7 @@ func Calibrate(n int) (Coefficients, error) {
 		}
 	}
 
-	pool := gc.NewPool(1)
+	pool := gc.NewSharedPool(nil, 1) // inline: calibration times one core
 	tables := make([]byte, window*gc.TableSize)
 	var gid uint64
 	measure := func(op circuit.Op) (float64, error) {

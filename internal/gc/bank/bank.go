@@ -204,17 +204,9 @@ type Bank struct {
 	wg        sync.WaitGroup
 }
 
-// New creates a bank for one compiled schedule. workers sizes the bank's
-// private garbling worker pool (0 derives it from GOMAXPROCS via
-// gc.NewPool semantics — pass the engine's resolved worker count).
-func New(sched *circuit.Schedule, rng io.Reader, workers int, cfg Config) *Bank {
-	return NewWithPool(sched, rng, gc.NewPool(workers), cfg)
-}
-
-// NewWithPool creates a bank that garbles on the caller's pool instead
-// of a private worker set — typically a shared-scheduler pool, so
-// background bank fills steal idle machine capacity rather than adding
-// goroutines. The bank serializes its own fills (one stateful schedule
+// NewWithPool creates a bank for one compiled schedule that garbles on
+// the caller's pool — the engine's shared-scheduler view, so background
+// bank fills steal idle machine capacity rather than adding goroutines. The bank serializes its own fills (one stateful schedule
 // walk at a time), so any pool safe for batch calls works here.
 func NewWithPool(sched *circuit.Schedule, rng io.Reader, pool *gc.Pool, cfg Config) *Bank {
 	return &Bank{sched: sched, rng: rng, cfg: cfg, pool: pool}

@@ -10,7 +10,12 @@ import (
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
+	schedpkg "deepsecure/internal/sched"
 )
+
+// testPool is the engines' pool shape: a width-capped view over the
+// process-wide shared scheduler.
+func testPool(width int) *gc.Pool { return gc.NewSharedPool(schedpkg.Default(), width) }
 
 // testTape builds a small but non-trivial recycled netlist: two input
 // batches (both parties), a mix of gate kinds across several levels, and
@@ -113,7 +118,7 @@ func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, 
 	e.SetLabel(circuit.WFalse, 0, ex.ConstFalse)
 	e.SetLabel(circuit.WTrue, 0, ex.ConstTrue)
 	e.Grow(sched.NumWires)
-	pool := gc.NewPool(1)
+	pool := testPool(1)
 	inOrd, tabOrd := 0, 0
 	gCur, eCur := gBits, eBits
 	var outs []bool
@@ -177,7 +182,7 @@ func TestBankExecutionCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := New(sched, rand.New(rand.NewSource(7)), 1, Config{Depth: 2})
+	b := NewWithPool(sched, rand.New(rand.NewSource(7)), testPool(1), Config{Depth: 2})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +224,8 @@ func TestBankExecutionCorrectness(t *testing.T) {
 // state).
 func TestBankDeterminism(t *testing.T) {
 	sched := testSchedule(t, 42)
-	b1 := New(sched, rand.New(rand.NewSource(5)), 1, Config{Depth: 3})
-	b2 := New(sched, rand.New(rand.NewSource(5)), 4, Config{Depth: 3})
+	b1 := NewWithPool(sched, rand.New(rand.NewSource(5)), testPool(1), Config{Depth: 3})
+	b2 := NewWithPool(sched, rand.New(rand.NewSource(5)), testPool(4), Config{Depth: 3})
 	if err := b1.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +266,7 @@ func TestBankDeterminism(t *testing.T) {
 // authentication needs.
 func TestBankSingleUse(t *testing.T) {
 	sched := testSchedule(t, 43)
-	b := New(sched, rand.New(rand.NewSource(11)), 1, Config{Depth: 3})
+	b := NewWithPool(sched, rand.New(rand.NewSource(11)), testPool(1), Config{Depth: 3})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +314,7 @@ func TestBankSingleUse(t *testing.T) {
 // takes none of them and the available ones remain consumable.
 func TestBankTakeN(t *testing.T) {
 	sched := testSchedule(t, 44)
-	b := New(sched, rand.New(rand.NewSource(13)), 1, Config{Depth: 2})
+	b := NewWithPool(sched, rand.New(rand.NewSource(13)), testPool(1), Config{Depth: 2})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +339,8 @@ func TestBankTakeN(t *testing.T) {
 func TestBankSpill(t *testing.T) {
 	sched := testSchedule(t, 45)
 	dir := t.TempDir()
-	bm := New(sched, rand.New(rand.NewSource(17)), 1, Config{Depth: 2})
-	bs := New(sched, rand.New(rand.NewSource(17)), 1, Config{Depth: 2, SpillDir: dir})
+	bm := NewWithPool(sched, rand.New(rand.NewSource(17)), testPool(1), Config{Depth: 2})
+	bs := NewWithPool(sched, rand.New(rand.NewSource(17)), testPool(1), Config{Depth: 2, SpillDir: dir})
 	if err := bm.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func TestBankBackgroundRefill(t *testing.T) {
 	sched := testSchedule(t, 46)
 	// crand-style concurrency-safe rng not needed: refills serialize on
 	// fillMu and the foreground never garbles in this test.
-	b := New(sched, rand.New(rand.NewSource(19)), 1, Config{Depth: 4, LowWater: 3, Background: true})
+	b := NewWithPool(sched, rand.New(rand.NewSource(19)), testPool(1), Config{Depth: 4, LowWater: 3, Background: true})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deepsecure/internal/circuit"
+	"deepsecure/internal/sched"
 )
 
 // refDouble is the byte-wise carry-loop doubling the uint64 fast path
@@ -126,7 +127,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pool := NewPool(workers)
+		pool := NewSharedPool(sched.Default(), workers)
 		lvTables := make([]byte, len(ands)*TableSize)
 		if err := gLv.GarbleLevel(ands, frees, 0, lvTables, pool); err != nil {
 			t.Fatal(err)
@@ -241,7 +242,7 @@ func TestBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(2)
+	pool := NewSharedPool(sched.Default(), 2)
 	and := []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 4}}
 	if err := g.GarbleLevel(and, nil, 0, make([]byte, 1), pool); err == nil {
 		t.Fatal("short table accepted")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deepsecure/internal/circuit"
+	"deepsecure/internal/sched"
 )
 
 // setWideForTest toggles the wide-kernel mode for Hashers built inside
@@ -181,7 +182,7 @@ func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInpu
 			t.Fatal(err)
 		}
 	}
-	pool := NewPool(workers)
+	pool := NewSharedPool(sched.Default(), workers)
 	var tables [][]byte
 	for li, lv := range levels {
 		tab := make([]byte, len(lv.ands)*b*TableSize)
@@ -222,7 +223,7 @@ func evalLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, bg *Bat
 			ev.SetLabel(w, s, l)
 		}
 	}
-	pool := NewPool(workers)
+	pool := NewSharedPool(sched.Default(), workers)
 	for li, lv := range levels {
 		if err := ev.EvaluateLevel(lv.ands, lv.frees, lv.gidBase, tables[li], pool); err != nil {
 			t.Fatalf("evaluate level %d (b=%d workers=%d): %v", li, b, workers, err)

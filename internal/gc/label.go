@@ -123,7 +123,7 @@ func wideEnabled() bool { return wideAvailable() && !wideOff.Load() }
 
 // Hasher computes the correlation-robust garbling hash
 // H(L, t) = AES_fixed(2L ⊕ t) ⊕ (2L ⊕ t). A Hasher is NOT safe for
-// concurrent use — every worker owns a private one (gc.Pool) — which is
+// concurrent use — every level span borrows its own (gc.Pool) — which is
 // what lets H run allocation-free: the AES input/output go through
 // heap-resident scratch buffers allocated once per Hasher, instead of
 // stack arrays that escape through the cipher.Block interface call on

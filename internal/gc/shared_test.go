@@ -28,19 +28,20 @@ func garbleLevelTables(t *testing.T, pool *Pool, nAND, nFree int) []byte {
 	return tables
 }
 
-// TestSharedPoolMatchesPrivate pins the tentpole's byte-determinism
-// claim at the gc layer: a shared-scheduler pool of width w produces the
-// exact table bytes a private pool of w workers produces, for every
-// width and for level sizes on both sides of the parallel clamps.
-func TestSharedPoolMatchesPrivate(t *testing.T) {
+// TestSharedPoolMatchesInline pins the byte-determinism claim at the gc
+// layer: a pool of width w striping spans over a shared scheduler
+// produces the exact table bytes of a width-1 pool, which runs every
+// level inline, for every width and for level sizes on both sides of
+// the parallel clamps.
+func TestSharedPoolMatchesInline(t *testing.T) {
 	s := sched.New(4)
 	defer s.Close()
-	for _, w := range []int{1, 2, 4} {
-		for _, sz := range []struct{ nAND, nFree int }{{8, 4}, {200, 100}, {1024, 512}} {
-			private := garbleLevelTables(t, NewPool(w), sz.nAND, sz.nFree)
+	for _, sz := range []struct{ nAND, nFree int }{{8, 4}, {200, 100}, {1024, 512}} {
+		inline := garbleLevelTables(t, NewSharedPool(s, 1), sz.nAND, sz.nFree)
+		for _, w := range []int{2, 4} {
 			shared := garbleLevelTables(t, NewSharedPool(s, w), sz.nAND, sz.nFree)
-			if !bytes.Equal(private, shared) {
-				t.Fatalf("width=%d nAND=%d nFree=%d: shared-pool tables differ from private-pool tables", w, sz.nAND, sz.nFree)
+			if !bytes.Equal(inline, shared) {
+				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from the width-1 inline baseline", w, sz.nAND, sz.nFree)
 			}
 		}
 	}
@@ -48,13 +49,13 @@ func TestSharedPoolMatchesPrivate(t *testing.T) {
 
 // TestSharedPoolConcurrentSessions drives one shared scheduler from many
 // concurrent "sessions" (independent garblers) and checks every stream
-// still matches its private-pool baseline — the multi-tenant shape the
-// server runs, where chunk stealing interleaves sessions arbitrarily.
-// Run with -race.
+// still matches its inline baseline — the multi-tenant shape the server
+// runs, where chunk stealing interleaves sessions arbitrarily. Run with
+// -race.
 func TestSharedPoolConcurrentSessions(t *testing.T) {
 	s := sched.New(4)
 	defer s.Close()
-	want := garbleLevelTables(t, NewPool(4), 512, 256)
+	want := garbleLevelTables(t, NewSharedPool(s, 1), 512, 256)
 	const sessions = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, sessions)
@@ -64,7 +65,7 @@ func TestSharedPoolConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			got := garbleLevelTables(t, NewSharedPool(s, 4), 512, 256)
 			if !bytes.Equal(want, got) {
-				errs <- "concurrent shared-pool stream diverged from private baseline"
+				errs <- "concurrent shared-pool stream diverged from the inline baseline"
 			}
 		}()
 	}
@@ -81,7 +82,7 @@ func TestSharedPoolConcurrentSessions(t *testing.T) {
 func TestSharedPoolOnClosedScheduler(t *testing.T) {
 	s := sched.New(2)
 	s.Close()
-	want := garbleLevelTables(t, NewPool(2), 200, 100)
+	want := garbleLevelTables(t, NewSharedPool(nil, 1), 200, 100)
 	got := garbleLevelTables(t, NewSharedPool(s, 2), 200, 100)
 	if !bytes.Equal(want, got) {
 		t.Fatal("closed-scheduler shared pool produced different tables")

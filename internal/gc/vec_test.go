@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deepsecure/internal/circuit"
+	"deepsecure/internal/sched"
 )
 
 // TestXORLabels pins the uint64 fast-path slice XOR to Label.XOR,
@@ -123,7 +124,7 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 		}
 	}
 
-	pool := NewPool(1)
+	pool := NewSharedPool(sched.Default(), 1)
 	for li, lv := range levels {
 		var single []byte
 		for _, gate := range append(append([]circuit.Gate{}, lv.ands...), lv.frees...) {
@@ -199,7 +200,7 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pool := NewPool(workers)
+		pool := NewSharedPool(sched.Default(), workers)
 		var tables [][]byte
 		for li, lv := range levels {
 			tab := make([]byte, len(lv.ands)*b*TableSize)
@@ -247,7 +248,7 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 			ev.SetLabel(w, s, l)
 		}
 	}
-	pool := NewPool(2)
+	pool := NewSharedPool(sched.Default(), 2)
 	for li, lv := range levels {
 		if err := ev.EvaluateLevel(lv.ands, lv.frees, lv.gidBase, tables[li], pool); err != nil {
 			t.Fatalf("evaluate level %d: %v", li, err)

@@ -51,11 +51,13 @@ const (
 	// PhaseTableRead is time the evaluator spends waiting on table
 	// frames from the wire.
 	PhaseTableRead
-	// PhaseOTDerand is the online Beaver-style OT derandomization
-	// exchange (both pool sides).
+	// PhaseOTDerand is the online OT exchange: on the evaluator, issuing
+	// one inference's flight of requests (derandomization corrections,
+	// or IKNP U matrices with the pool off); on the garbler, answering a
+	// correction.
 	PhaseOTDerand
-	// PhaseSpecCollect is time collecting responses of speculatively
-	// issued OT corrections.
+	// PhaseSpecCollect is the evaluator's per-step wait for, and
+	// decoding of, the response to an issued OT request.
 	PhaseSpecCollect
 	// PhaseEval is the evaluator's per-level crypto (the evaluation
 	// engine's GateTime).

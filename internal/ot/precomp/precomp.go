@@ -168,20 +168,23 @@ type ReceiverPool struct {
 	stMu sync.Mutex
 	st   Stats
 
-	// Speculative out-of-inference-order consumption (IssueAll/Collect):
-	// collectSeq orders response collection by issue ticket — the wire
-	// carries derand responses in correction order, so collects must
-	// read in that order even when inference walks interleave.
-	// outstanding counts issued-but-uncollected batches; refills barrier
-	// on it draining (a refill's Y frame queues behind every pending
-	// response on the shared OT stream). Guarded by outMu; outCond wakes
-	// the barrier. specAborted mirrors the sequencer's aborted flag for
-	// barrier waiters.
+	// Issued-batch consumption (IssueAll/Collect): collectSeq orders
+	// collection by issue ticket — the wire carries responses in request
+	// order, so collects must read in that order even when inference
+	// walks interleave. outstanding counts issued-but-uncollected
+	// batches; refills barrier on it draining (a refill's Y frame queues
+	// behind every pending response on the shared OT stream). ahead is
+	// the request bytes sent at issue and not yet answered, held the
+	// number of requests left for their Collect to send (see flightCap).
+	// Guarded by outMu; outCond wakes the barrier. aborted mirrors the
+	// sequencer's aborted flag for barrier waiters.
 	collectSeq  *Sequencer
 	outMu       sync.Mutex
 	outCond     *sync.Cond
 	outstanding int
-	specAborted bool
+	ahead       int
+	held        int
+	aborted     bool
 	nextTicket  int64
 }
 
@@ -372,237 +375,272 @@ func (p *ReceiverPool) maybeStartBackground() {
 	p.stAdd(Stats{OfflineTime: time.Since(start)})
 }
 
-// Receive obliviously obtains the messages selected by choices, like
-// ot.ExtReceiver.Receive, but from the pool: pending refills resolve
-// first (blocking until the pool covers the batch — never reusing an
-// entry), then one derandomization exchange moves the labels.
-func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
-	m := len(choices)
-	if m == 0 {
-		return nil, nil
-	}
-	if !p.cfg.Enabled() {
-		start := time.Now()
-		msgs, err := p.ots.Receive(choices)
-		p.stAdd(Stats{OnlineTime: time.Since(start), Direct: int64(m), Batches: 1})
-		return msgs, err
-	}
-	// A background precompute already advanced the PRG streams: its U
-	// must be the next U on the wire, so it resolves before any further
-	// fill.
-	if err := p.resolvePending(); err != nil {
-		return nil, err
-	}
-	if avail := p.Available(); avail < m || avail < p.cfg.lowWater() {
-		n := p.cfg.Capacity - avail
-		if n < m-avail {
-			n = m - avail
-		}
-		if err := p.refill(n); err != nil {
-			return nil, err
-		}
-	}
-
-	// Online derandomization: one message each way, XORs only.
-	start := time.Now()
-	d := make([]byte, (m+7)/8)
-	for j, b := range choices {
-		if b != p.bits[p.head+j] {
-			d[j/8] |= 1 << uint(j%8)
-		}
-	}
-	if err := p.conn.Send(transport.MsgOTDerandC, d); err != nil {
-		return nil, err
-	}
-	y, err := p.conn.Recv(transport.MsgOTDerandM)
-	if err != nil {
-		return nil, err
-	}
-	if len(y) != m*2*ot.MsgLen {
-		return nil, fmt.Errorf("precomp: derand payload is %d bytes, want %d", len(y), m*2*ot.MsgLen)
-	}
-	out := make([]ot.Msg, m)
-	for j, b := range choices {
-		off := j * 2 * ot.MsgLen
-		if b {
-			off += ot.MsgLen
-		}
-		r := &p.msgs[p.head+j]
-		for i := 0; i < ot.MsgLen; i++ {
-			out[j][i] = y[off+i] ^ r[i]
-		}
-		// Single-use: zero the entry as it is consumed.
-		*r = ot.Msg{}
-		p.bits[p.head+j] = false
-	}
-	p.head += m
-	p.seq += int64(m)
-	elapsed := time.Since(start)
-	p.stAdd(Stats{Consumed: int64(m), Batches: 1, OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
-	obs.AddOTConsumed(int64(m))
-	obs.SetOTPoolDepth(obs.OTReceiver, p.Available())
-	p.maybeStartBackground()
-	return out, nil
-}
-
-// Pooled reports whether this pool's configuration enables pooling —
-// the precondition for speculative issue (IssueAll needs banked entries
-// to derandomize against; direct IKNP is inherently request/response).
-func (p *ReceiverPool) Pooled() bool { return p.cfg.Enabled() }
-
-// Abort unblocks every speculative waiter — collects gated on the ticket
+// Abort unblocks every issued-flight waiter — collects gated on the ticket
 // order and issuers gated on the outstanding-drain barrier — with a
 // teardown error. Call alongside the session Sequencer's Abort.
 func (p *ReceiverPool) Abort() {
 	p.collectSeq.Abort()
 	p.outMu.Lock()
-	p.specAborted = true
+	p.aborted = true
 	p.outCond.Broadcast()
 	p.outMu.Unlock()
 }
 
-// PendingReceive is one issued-but-uncollected speculative batch: the
-// corrections are on the wire, the consumed pool entries are copied out
-// (and the pool's own copies zeroed), and Collect unmasks the sender's
-// response when the walk reaches the step.
+// flightCap bounds the OT request bytes, frame headers included, on the
+// wire ahead of the garbler's walk. The garbler reads a step's request
+// only when its walk reaches that step, and until then it streams
+// tables; a request the evaluator has to push past what the transport
+// buffers blocks the evaluator before it can read those tables, and
+// both directions wedge. 4 KiB sits below the smallest send-plus-receive
+// buffer pair Linux gives a TCP socket, so a flight within it never
+// blocks on a transport that buffers at least 4 KiB each way.
+const flightCap = 4 << 10
+
+// PendingReceive is one issued-but-uncollected batch, finished by
+// Collect when the walk reaches the step. A pooled batch holds copies of
+// the consumed pool entries (the pool's own copies are zeroed); a direct
+// batch holds its prepared IKNP receive. req is the request frame's
+// payload while it is still unsent — Collect sends it — and ahead counts
+// the bytes it added to the pool's on-the-wire-ahead total when IssueAll
+// sent it.
 type PendingReceive struct {
 	p       *ReceiverPool
 	ticket  int64
 	choices []bool
 	bits    []bool
 	msgs    []ot.Msg
+	prep    *ot.PreparedReceive
+	req     []byte
+	ahead   int
 }
 
-// IssueAll speculatively issues the derandomization corrections for ALL
-// of an inference's input-step batches in one flight: each step's
-// corrections are computed against consecutive pool entries and sent
-// back-to-back (one Flush at the end), and the caller gets one
-// PendingReceive per step to Collect in walk order. The point: the
-// caller can release its pool-order turn the moment IssueAll returns —
-// the pool's FIFO state is fully advanced — so the next inference's
-// corrections overlap this one's evaluation instead of waiting for its
-// last Collect.
+// IssueAll issues the OT requests for ALL of an inference's input-step
+// batches at once and returns one PendingReceive per step to Collect in
+// walk order. With an enabled pool each request is a derandomization
+// correction (m/8 bytes) against consecutive pool entries, pending
+// refills resolving first, upfront, for the whole inference — never
+// reusing an entry; with the pool off it is a direct-IKNP receive
+// prepared now (PRG expansion, a 16·m-byte U matrix, transpose). The
+// requests go out back-to-back in one flight when they fit flightCap
+// together with the requests already ahead of the garbler and no earlier
+// request is still held back; otherwise each is sent by its own Collect,
+// which keeps the wire order because Collects run in ticket order.
+// Either way the caller can release its pool-order turn the moment
+// IssueAll returns — the FIFO and extension state is fully advanced —
+// so the next inference's requests overlap this one's evaluation
+// instead of waiting for its last Collect.
 //
 // Callers must still be serialized against each other (the session
-// Sequencer); Collects order themselves by ticket. Requires an enabled
-// pool.
+// Sequencer); Collects order themselves by ticket.
 func (p *ReceiverPool) IssueAll(steps [][]bool) ([]*PendingReceive, error) {
-	if !p.cfg.Enabled() {
-		return nil, fmt.Errorf("precomp: speculative issue requires an enabled pool")
-	}
 	total := 0
 	for _, c := range steps {
 		total += len(c)
 	}
-	// A refill (or a pending background fill's resolution) reads a
-	// MsgOTExtY off the shared OT stream — which carries the responses to
-	// every outstanding correction first. Barrier until earlier
-	// inferences' collects drain those responses before touching the
-	// wire. Deadlock-free: collects need only the ticket order, not the
-	// pool turn this caller holds.
-	if p.pending != nil || p.Available() < total || p.Available() < p.cfg.lowWater() {
-		p.outMu.Lock()
-		for p.outstanding > 0 && !p.specAborted {
-			p.outCond.Wait()
-		}
-		aborted := p.specAborted
-		p.outMu.Unlock()
-		if aborted {
-			return nil, ErrSequencerAborted
-		}
-		if err := p.resolvePending(); err != nil {
+	pooled := p.cfg.Enabled()
+	if pooled {
+		if err := p.ensure(total); err != nil {
 			return nil, err
-		}
-		if avail := p.Available(); avail < total || avail < p.cfg.lowWater() {
-			// One upfront refill covers the whole inference: refilling
-			// mid-issue would deadlock on our own outstanding responses.
-			n := p.cfg.Capacity - avail
-			if n < total-avail {
-				n = total - avail
-			}
-			if err := p.refill(n); err != nil {
-				return nil, err
-			}
 		}
 	}
 
 	start := time.Now()
 	prs := make([]*PendingReceive, len(steps))
+	flight, reqs := 0, 0
 	for si, choices := range steps {
-		m := len(choices)
 		pr := &PendingReceive{p: p, choices: choices}
 		prs[si] = pr
-		p.outMu.Lock()
-		pr.ticket = p.nextTicket
-		p.nextTicket++
-		p.outstanding++
-		p.outMu.Unlock()
-		if m == 0 {
+		if len(choices) == 0 {
 			continue
 		}
-		// Copy the consumed entries out for Collect and zero the pool's
-		// own copies now: the FIFO advances here, single-use holds even
-		// if the Collect never runs.
-		pr.bits = make([]bool, m)
-		pr.msgs = make([]ot.Msg, m)
-		copy(pr.bits, p.bits[p.head:p.head+m])
-		copy(pr.msgs, p.msgs[p.head:p.head+m])
-		d := make([]byte, (m+7)/8)
-		for j, b := range choices {
-			if b != pr.bits[j] {
-				d[j/8] |= 1 << uint(j%8)
-			}
-			p.msgs[p.head+j] = ot.Msg{}
-			p.bits[p.head+j] = false
+		if pooled {
+			pr.req = p.takeEntries(pr)
+		} else {
+			// req owns the U matrix, so it dies once sent.
+			pr.prep = p.ots.Prepare(choices)
+			pr.req, pr.prep.U = pr.prep.U, nil
 		}
-		p.head += m
-		p.seq += int64(m)
-		if err := p.conn.Send(transport.MsgOTDerandC, d); err != nil {
+		flight += transport.FrameHeader + len(pr.req)
+		reqs++
+	}
+	p.outMu.Lock()
+	for _, pr := range prs {
+		pr.ticket = p.nextTicket
+		p.nextTicket++
+	}
+	p.outstanding += len(prs)
+	send := p.held == 0 && p.ahead+flight <= flightCap
+	if send {
+		p.ahead += flight
+	} else {
+		p.held += reqs
+	}
+	p.outMu.Unlock()
+	if send {
+		for _, pr := range prs {
+			if pr.req == nil {
+				continue
+			}
+			if err := p.conn.Send(p.reqType(), pr.req); err != nil {
+				return nil, err
+			}
+			pr.ahead, pr.req = transport.FrameHeader+len(pr.req), nil
+		}
+		// One flush for the whole flight: the sender answers each request
+		// in order, so responses stream back while the walk evaluates.
+		if err := p.conn.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	// One flush for the whole flight: the sender answers each correction
-	// in order, so responses stream back while the walk evaluates.
-	if err := p.conn.Flush(); err != nil {
-		return nil, err
-	}
 	elapsed := time.Since(start)
-	p.stAdd(Stats{Consumed: int64(total), Batches: int64(len(steps)), OnlineTime: elapsed})
 	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
+	if !pooled {
+		p.stAdd(Stats{Direct: int64(total), Batches: int64(len(steps)), OnlineTime: elapsed})
+		return prs, nil
+	}
+	p.stAdd(Stats{Consumed: int64(total), Batches: int64(len(steps)), OnlineTime: elapsed})
 	obs.AddOTConsumed(int64(total))
 	obs.SetOTPoolDepth(obs.OTReceiver, p.Available())
 	p.maybeStartBackground()
 	return prs, nil
 }
 
-// Collect receives and unmasks the sender's response for one issued
-// batch. Collects self-serialize into issue order (the wire order of the
-// responses); a failed receive aborts the pool's speculative state
-// instead of releasing the ticket — the stream is desynchronized and no
-// later collect can legitimately proceed.
+// reqType and respType are the request and response frame types of an
+// issued batch: derandomization corrections with the pool on, the IKNP
+// U and Y matrices with it off.
+func (p *ReceiverPool) reqType() transport.MsgType {
+	if p.cfg.Enabled() {
+		return transport.MsgOTDerandC
+	}
+	return transport.MsgOTExtU
+}
+
+func (p *ReceiverPool) respType() transport.MsgType {
+	if p.cfg.Enabled() {
+		return transport.MsgOTDerandM
+	}
+	return transport.MsgOTExtY
+}
+
+// ensure makes the pool cover a flight of total OTs and the low-water
+// policy, refilling once, upfront: refilling mid-issue would deadlock on
+// the flight's own outstanding responses. A refill (or a pending
+// background fill's resolution) reads a MsgOTExtY off the shared OT
+// stream — which carries the responses to every outstanding request
+// first — so it barriers until earlier inferences' collects drain those
+// responses. Deadlock-free: collects need only the ticket order, not the
+// pool turn the caller holds.
+func (p *ReceiverPool) ensure(total int) error {
+	if p.pending == nil && p.Available() >= total && p.Available() >= p.cfg.lowWater() {
+		return nil
+	}
+	p.outMu.Lock()
+	for p.outstanding > 0 && !p.aborted {
+		p.outCond.Wait()
+	}
+	aborted := p.aborted
+	p.outMu.Unlock()
+	if aborted {
+		return ErrSequencerAborted
+	}
+	// A background precompute already advanced the PRG streams: its U
+	// must be the next U on the wire, so it resolves before any further
+	// fill.
+	if err := p.resolvePending(); err != nil {
+		return err
+	}
+	if avail := p.Available(); avail < total || avail < p.cfg.lowWater() {
+		n := p.cfg.Capacity - avail
+		if n < total-avail {
+			n = total - avail
+		}
+		return p.refill(n)
+	}
+	return nil
+}
+
+// takeEntries consumes one pooled batch's entries and returns its
+// derandomization corrections, copying the entries out for Collect and
+// zeroing the pool's own copies now: the FIFO advances here, so
+// single-use holds even if the Collect never runs.
+func (p *ReceiverPool) takeEntries(pr *PendingReceive) []byte {
+	m := len(pr.choices)
+	pr.bits = make([]bool, m)
+	pr.msgs = make([]ot.Msg, m)
+	copy(pr.bits, p.bits[p.head:p.head+m])
+	copy(pr.msgs, p.msgs[p.head:p.head+m])
+	d := make([]byte, (m+7)/8)
+	for j, b := range pr.choices {
+		if b != pr.bits[j] {
+			d[j/8] |= 1 << uint(j%8)
+		}
+		p.msgs[p.head+j] = ot.Msg{}
+		p.bits[p.head+j] = false
+	}
+	p.head += m
+	p.seq += int64(m)
+	return d
+}
+
+// Collect finishes one issued batch and returns the chosen messages:
+// it sends the request if IssueAll held it back, receives the sender's
+// response, and unmasks it against the consumed pool entries or
+// decrypts it as the IKNP Y matrix. Collects self-serialize into issue
+// order (the wire order of the requests and responses); a failed
+// exchange aborts the pool's collect state instead of releasing the
+// ticket — the stream is desynchronized and no later collect can
+// legitimately proceed.
 func (pr *PendingReceive) Collect() ([]ot.Msg, error) {
 	p := pr.p
 	if err := p.collectSeq.Acquire(pr.ticket); err != nil {
 		return nil, err
 	}
-	m := len(pr.choices)
-	if m == 0 {
-		p.collectSeq.Release(pr.ticket)
-		p.outMu.Lock()
-		p.outstanding--
-		p.outCond.Broadcast()
-		p.outMu.Unlock()
-		return nil, nil
+	var out []ot.Msg
+	if len(pr.choices) > 0 {
+		start := time.Now()
+		var err error
+		if out, err = pr.exchange(); err != nil {
+			p.Abort()
+			return nil, err
+		}
+		elapsed := time.Since(start)
+		p.stAdd(Stats{OnlineTime: elapsed})
+		obs.ObservePhase(obs.PhaseSpecCollect, elapsed)
 	}
-	start := time.Now()
-	y, err := p.conn.Recv(transport.MsgOTDerandM)
+	p.collectSeq.Release(pr.ticket)
+	p.outMu.Lock()
+	p.outstanding--
+	p.ahead -= pr.ahead
+	p.outCond.Broadcast()
+	p.outMu.Unlock()
+	return out, nil
+}
+
+// exchange is Collect's wire half: the held-back request (if any), the
+// response (Recv flushes the request), and the decode.
+func (pr *PendingReceive) exchange() ([]ot.Msg, error) {
+	p := pr.p
+	if pr.req != nil {
+		err := p.conn.Send(p.reqType(), pr.req)
+		pr.req = nil
+		p.outMu.Lock()
+		p.held--
+		p.outMu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	y, err := p.conn.Recv(p.respType())
 	if err != nil {
-		p.Abort()
 		return nil, err
 	}
+	if pr.prep != nil {
+		out, err := p.ots.Finish(pr.prep, y)
+		pr.prep = nil
+		return out, err
+	}
+	m := len(pr.choices)
 	if len(y) != m*2*ot.MsgLen {
-		p.Abort()
 		return nil, fmt.Errorf("precomp: derand payload is %d bytes, want %d", len(y), m*2*ot.MsgLen)
 	}
 	out := make([]ot.Msg, m)
@@ -620,14 +658,6 @@ func (pr *PendingReceive) Collect() ([]ot.Msg, error) {
 		pr.bits[j] = false
 	}
 	pr.msgs, pr.bits = nil, nil
-	p.collectSeq.Release(pr.ticket)
-	p.outMu.Lock()
-	p.outstanding--
-	p.outCond.Broadcast()
-	p.outMu.Unlock()
-	elapsed := time.Since(start)
-	p.stAdd(Stats{OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseSpecCollect, elapsed)
 	return out, nil
 }
 

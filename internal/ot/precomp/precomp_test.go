@@ -44,9 +44,19 @@ func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool
 	return sp, rp, func() { closer.Close() }
 }
 
+// receive issues one batch and collects it: the receiver half of one
+// oblivious transfer.
+func receive(rp *ReceiverPool, choices []bool) ([]ot.Msg, error) {
+	prs, err := rp.IssueAll([][]bool{choices})
+	if err != nil {
+		return nil, err
+	}
+	return prs[0].Collect()
+}
+
 // transfer runs one oblivious batch through the pools: the sender's Send
 // on a goroutine (it reacts to the receiver's frames), the receiver's
-// Receive inline.
+// issue and collect inline.
 func transfer(t *testing.T, sp *SenderPool, rp *ReceiverPool, pairs [][2]ot.Msg, choices []bool) []ot.Msg {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -56,7 +66,7 @@ func transfer(t *testing.T, sp *SenderPool, rp *ReceiverPool, pairs [][2]ot.Msg,
 		defer wg.Done()
 		sendErr = sp.Send(pairs)
 	}()
-	got, err := rp.Receive(choices)
+	got, err := receive(rp, choices)
 	wg.Wait()
 	if sendErr != nil {
 		t.Fatalf("sender: %v", sendErr)
@@ -251,9 +261,9 @@ func TestEmptyBatch(t *testing.T) {
 	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, 80)
 	defer done()
 	sent0 := rp.conn.(*transport.Conn).BytesSent.Load()
-	got, err := rp.Receive(nil)
+	got, err := receive(rp, nil)
 	if err != nil || got != nil {
-		t.Fatalf("empty Receive = (%v, %v)", got, err)
+		t.Fatalf("empty issue/collect = (%v, %v)", got, err)
 	}
 	if err := sp.Send(nil); err != nil {
 		t.Fatalf("empty Send: %v", err)

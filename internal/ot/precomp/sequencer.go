@@ -20,7 +20,7 @@ var ErrSequencerAborted = errors.New("precomp: pool sequencer aborted")
 
 // Sequencer admits consumers one at a time in strictly increasing turn
 // order. A consumer Acquires its turn (blocking until every earlier turn
-// has Released), performs all of its pool exchanges, and Releases to
+// has Released), issues all of its pool requests, and Releases to
 // admit the next. Acquire/Release pair per turn; a consumer with no pool
 // work must still pass its turn through (Acquire then Release
 // immediately) or every later consumer deadlocks. Safe for concurrent

@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"deepsecure/internal/ot"
+	"deepsecure/internal/transport"
 )
 
-// specSend runs the sender side of a speculative flight: one Send per
+// specSend runs the sender side of an issued flight: one Send per
 // issued step, in issue order (the wire carries the corrections
 // back-to-back, so the sender's loop drains them at its own pace).
 func specSend(sp *SenderPool, stepPairs [][][2]ot.Msg) chan error {
@@ -39,8 +40,8 @@ func checkUnmasked(t *testing.T, got []ot.Msg, pairs [][2]ot.Msg, choices []bool
 	}
 }
 
-// TestSpeculativeIssueCollect pins the speculative protocol's core
-// property: IssueAll puts every step's corrections on the wire in one
+// TestSpeculativeIssueCollect pins the one-flight protocol's core
+// property with the pool on: IssueAll puts every step's corrections on the wire in one
 // flight — advancing the pool's FIFO state (Seq, Available) immediately,
 // before any response is collected — and each Collect then unmasks its
 // step's labels exactly as the strict per-step exchange would have.
@@ -255,4 +256,101 @@ func TestSpeculativeAbortUnblocks(t *testing.T) {
 	// and let it fail.
 	cleanup()
 	<-done
+}
+
+// TestDirectIssueCollect is the pool-off counterpart: IssueAll puts one
+// direct-IKNP U matrix per step on the wire in one flight, and the
+// Collects — started out of walk order, so the ticket gate must order
+// them — decrypt each step's Y response to the chosen labels.
+func TestDirectIssueCollect(t *testing.T) {
+	sp, rp, cleanup := pools(t, PoolConfig{}, 1500)
+	defer cleanup()
+	rng := rand.New(rand.NewSource(1501))
+	sizes := []int{10, 33, 0, 7}
+	steps := make([][]bool, len(sizes))
+	stepPairs := make([][][2]ot.Msg, len(sizes))
+	total := 0
+	for i, n := range sizes {
+		steps[i] = randChoices(rng, n)
+		stepPairs[i] = randPairs(rng, n)
+		total += n
+	}
+	done := specSend(sp, stepPairs)
+	prs, err := rp.IssueAll(steps)
+	if err != nil {
+		t.Fatalf("IssueAll: %v", err)
+	}
+	outs := make([][]ot.Msg, len(prs))
+	errs := make([]error, len(prs))
+	var wg sync.WaitGroup
+	for i := len(prs) - 1; i >= 1; i-- {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = prs[i].Collect()
+		}(i)
+		time.Sleep(10 * time.Millisecond)
+	}
+	outs[0], errs[0] = prs[0].Collect()
+	wg.Wait()
+	for i := range prs {
+		if errs[i] != nil {
+			t.Fatalf("Collect %d: %v", i, errs[i])
+		}
+		if len(outs[i]) != sizes[i] {
+			t.Fatalf("Collect %d returned %d msgs, want %d", i, len(outs[i]), sizes[i])
+		}
+		checkUnmasked(t, outs[i], stepPairs[i], steps[i])
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	if st := rp.Stats(); st.Direct != int64(total) || st.Consumed != 0 || st.Generated != 0 {
+		t.Fatalf("pool-off stats %+v, want Direct=%d and nothing pooled", st, total)
+	}
+}
+
+// TestFlightCapCountsFrameHeaders pins that flightCap bounds the bytes a
+// flight puts on the wire, frame headers included: many one-OT steps
+// carry one correction byte but transport.FrameHeader+1 wire bytes each,
+// so 700 of them must be held back for their collects while 10 go out
+// at issue.
+func TestFlightCapCountsFrameHeaders(t *testing.T) {
+	sp, rp, cleanup := pools(t, PoolConfig{Capacity: 2048}, 1600)
+	defer cleanup()
+	conn := rp.conn.(*transport.Conn)
+	if 700*(transport.FrameHeader+1) <= flightCap || 700 > flightCap {
+		t.Fatalf("700 one-OT steps must exceed flightCap only with headers counted")
+	}
+	rng := rand.New(rand.NewSource(1601))
+	for _, tc := range []struct{ steps, wantAhead int }{
+		{10, 10 * (transport.FrameHeader + 1)},
+		{700, 0},
+	} {
+		steps := make([][]bool, tc.steps)
+		stepPairs := make([][][2]ot.Msg, tc.steps)
+		for i := range steps {
+			steps[i] = randChoices(rng, 1)
+			stepPairs[i] = randPairs(rng, 1)
+		}
+		done := specSend(sp, stepPairs)
+		before := conn.BytesSent.Load()
+		prs, err := rp.IssueAll(steps)
+		if err != nil {
+			t.Fatalf("IssueAll: %v", err)
+		}
+		if got := conn.BytesSent.Load() - before; got != int64(tc.wantAhead) {
+			t.Fatalf("%d steps: %d bytes sent at issue, want %d", tc.steps, got, tc.wantAhead)
+		}
+		for i, pr := range prs {
+			got, err := pr.Collect()
+			if err != nil {
+				t.Fatalf("Collect %d: %v", i, err)
+			}
+			checkUnmasked(t, got, stepPairs[i], steps[i])
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("sender: %v", err)
+		}
+	}
 }

@@ -1,10 +1,8 @@
 // Package sched provides the process-wide work-stealing worker pool the
-// garbling/evaluation engines share across sessions. Where the old
-// per-session gc.Pool model spawned a private worker set per session
-// (and per in-flight inference context), so S sessions at window depth d
-// oversubscribed the machine with S×d×workers goroutines, one sched.Pool
-// owns a fixed worker set sized to the machine and every session's level
-// runs submit chunks to it.
+// garbling/evaluation engines share across sessions: one sched.Pool owns
+// a fixed worker set sized to the machine and every session's level runs
+// submit chunks to it, so S sessions at window depth d never spawn
+// S×d×workers goroutines.
 //
 // The scheduling unit is a region: one parallel level run, split into a
 // fixed number of chunks claimed by atomic cursor increments. Workers
@@ -17,8 +15,8 @@
 //
 // The pool is pure scheduling: which goroutine runs a chunk never
 // affects the bytes the chunk produces, so the engines' worker-count
-// byte-determinism carries over unchanged (pinned by the shared-vs-
-// private conformance tests in internal/gc and internal/core).
+// byte-determinism carries over unchanged (pinned by the shared-scheduler
+// conformance tests in internal/gc and internal/core).
 package sched
 
 import (
@@ -204,7 +202,7 @@ var (
 
 // Default returns the process-wide shared pool, created on first use
 // with GOMAXPROCS background workers. Every session's engine submits
-// here unless configured with a private pool.
+// here.
 func Default() *Pool {
 	defaultOnce.Do(func() {
 		defaultPool = New(runtime.GOMAXPROCS(0))

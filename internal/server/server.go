@@ -147,33 +147,21 @@ func WithMaxBatch(n int) Option {
 	return func(s *Server) { s.core.Engine.MaxBatch = n }
 }
 
-// WithBank installs the garble-ahead execution-bank policy in the
-// engine configuration this server's sessions run with, and — the part
-// that matters on the evaluator side — enables speculative OT
-// consumption when the bank is enabled. The bank itself lives with the
-// garbling party (clients pre-garble; see core.EngineConfig.Bank), so a
-// plain server never fills one; but banked clients make the ordered OT
-// exchange the dominant online step, and a server that expects them
-// should loosen it. WithBank(cfg) with cfg.Enabled() is therefore
-// shorthand for carrying the policy in the shared EngineConfig plus
-// WithSpeculativeOT(true); a zero cfg clears both.
-func WithBank(cfg bank.Config) Option {
-	return func(s *Server) {
-		s.core.Engine.Bank = cfg
-		s.core.Engine.SpeculativeOT = cfg.Enabled()
-	}
+// WithBank is a no-op kept for source compatibility. A garble-ahead
+// bank lives with the garbling party (clients pre-garble; see
+// core.EngineConfig.Bank), and a server's sessions need no setting to
+// answer banked clients: they always issue each inference's OT requests
+// at once.
+func WithBank(bank.Config) Option {
+	return func(*Server) {}
 }
 
-// WithSpeculativeOT toggles speculative OT consumption: an inference
-// issues all of its input steps' derandomization corrections in one
-// flight at its first evaluator step and releases the OT-pool turn
-// immediately, so deep pipeline windows (and garble-ahead clients, whose
-// online path is otherwise just label selection and streaming) are not
-// serialized on per-step OT round-trips. Requires an enabled OT pool
-// (no-op otherwise); off by default because it shifts server→client
-// frame timing relative to the strict-order v5 transcript.
-func WithSpeculativeOT(on bool) Option {
-	return func(s *Server) { s.core.Engine.SpeculativeOT = on }
+// WithSpeculativeOT is a no-op kept for source compatibility: every
+// session issues each inference's OT requests together at its first
+// evaluator-input step and releases the OT-pool turn right after, so
+// there is no other order to select.
+func WithSpeculativeOT(bool) Option {
+	return func(*Server) {}
 }
 
 // WithIdleTimeout bounds how long a session connection may sit idle.
@@ -227,7 +215,10 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Serve accepts connections on ln and serves one session per connection,
 // each in its own goroutine. It blocks until the listener fails or the
-// server is shut down, in which case it returns ErrServerClosed.
+// server is shut down, in which case it returns ErrServerClosed. The
+// connections must buffer at least 4 KiB in each direction, as TCP
+// sockets do: a session sends up to that many OT request bytes ahead of
+// the client's walk (see core.Server.ServeSession).
 func (s *Server) Serve(ln net.Listener) error {
 	return s.ServeContext(context.Background(), ln)
 }

@@ -110,6 +110,10 @@ func (m MsgType) String() string {
 // prefixes fail fast instead of attempting absurd allocations.
 const MaxFrame = 1 << 30
 
+// FrameHeader is the bytes every frame carries ahead of its payload:
+// the type byte and the little-endian uint32 payload length.
+const FrameHeader = 5
+
 // FrameConn is the frame-level interface the protocol layers speak: a
 // *Conn satisfies it directly, and pipelined sessions satisfy it with
 // per-inference views that tag outgoing frames and route incoming ones
@@ -130,7 +134,7 @@ type FrameConn interface {
 type Conn struct {
 	rw      io.ReadWriter
 	wbuf    []byte
-	scratch [5]byte
+	scratch [FrameHeader]byte
 
 	// Stats mirror the paper's communication accounting. Atomics so a
 	// demux reader and the senders can account concurrently.
@@ -191,7 +195,7 @@ func (c *Conn) send(t MsgType, tag, payload []byte) error {
 	if len(payload)+len(tag) > MaxFrame {
 		return fmt.Errorf("transport: frame %v too large (%d bytes)", t, len(payload)+len(tag))
 	}
-	var hdr [5]byte
+	var hdr [FrameHeader]byte
 	hdr[0] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(tag)+len(payload)))
 	c.wbuf = append(c.wbuf, hdr[:]...)
